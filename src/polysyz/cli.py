@@ -151,7 +151,7 @@ def normality(polytope, mmax):
     click.echo(dumps(normality_to_json(is_normal(P, mmax))), nl=False)
 
 
-def _np_payload(P, c, max_i, max_slope, certify, threads, pmax=None):
+def _np_payload(P, c, max_i, max_slope, certify, pmax=None):
     key = {
         "engine": ENGINE_VERSION,
         "vertices": [list(v) for v in P.vertices],
@@ -163,7 +163,7 @@ def _np_payload(P, c, max_i, max_slope, certify, threads, pmax=None):
     }
     policy = RankPolicy(certify=certify).with_key(canonical_key(key))
     ring = build_ring(P, c, max_slope + 1)
-    table = betti_table(ring, max_i, max_slope, policy=policy, threads=threads)
+    table = betti_table(ring, max_i, max_slope, policy=policy)
     if not k_polynomial_checksum(table):
         raise ConsistencyError("K-polynomial checksum mismatch")
     return key, ring, table
@@ -175,7 +175,7 @@ def _np_payload(P, c, max_i, max_slope, certify, threads, pmax=None):
 @click.option("--max-i", type=int, default=4, show_default=True)
 @click.option("--max-slope", type=int, default=None, help="Defaults to dim P + 2.")
 @click.option("--certify", is_flag=True, help="Exact arithmetic in every rank.")
-@click.option("--threads", type=int, default=1, show_default=True)
+@click.option("--threads", type=int, default=1, help="Accepted for compatibility; ignored.")
 @click.option("--cache-dir", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
 @_guard
@@ -199,7 +199,7 @@ def betti(polytope, c, max_i, max_slope, certify, threads, cache_dir, fmt):
     if cached is not None:
         click.echo(cached, nl=False)
         return
-    _, _, table = _np_payload(P, c, max_i, max_slope, certify, threads)
+    _, _, table = _np_payload(P, c, max_i, max_slope, certify)
     if fmt == "text":
         payload = betti_text_table(table) + "\n"
     else:
@@ -214,7 +214,7 @@ def betti(polytope, c, max_i, max_slope, certify, threads, cache_dir, fmt):
 @click.option("--pmax", type=int, default=2, show_default=True)
 @click.option("--max-slope", type=int, default=None, help="Defaults to dim P + 2.")
 @click.option("--certify", is_flag=True)
-@click.option("--threads", type=int, default=1, show_default=True)
+@click.option("--threads", type=int, default=1, help="Accepted for compatibility; ignored.")
 @click.option("--cache-dir", type=click.Path(), default=None)
 @_guard
 def np_cmd(polytope, c, pmax, max_slope, certify, threads, cache_dir):
@@ -236,7 +236,7 @@ def np_cmd(polytope, c, pmax, max_slope, certify, threads, cache_dir):
     if cached is not None:
         click.echo(cached, nl=False)
         return
-    _, ring, table = _np_payload(P, c, pmax, max_slope, certify, threads, pmax=pmax)
+    _, ring, table = _np_payload(P, c, pmax, max_slope, certify, pmax=pmax)
     verdicts = np_level(ring, pmax, max_slope, table=table)
     payload = dumps(
         {
@@ -379,7 +379,7 @@ def corpus(seed, count_, dim, coord_bound, out_dir):
     click.echo(dumps({"written": names}), nl=False)
 
 
-def _report_rows(certify: bool, threads: int):
+def _report_rows(certify: bool):
     from .lattice import LatticePolytope
     from .normality import is_normal as _is_normal
 
@@ -395,7 +395,7 @@ def _report_rows(certify: bool, threads: int):
             canonical_key([[list(v) for v in P.vertices], c, pmax, slope])
         )
         ring = build_ring(P, c, slope + 1)
-        verdicts = np_level(ring, pmax, slope, policy=policy, threads=threads)
+        verdicts = np_level(ring, pmax, slope, policy=policy)
         return {v.p: v for v in verdicts}
 
     v = np_status(cubic, 1, 1, 3)
@@ -449,11 +449,11 @@ def _report_rows(certify: bool, threads: int):
 @cli.command()
 @click.option("--examples", type=click.Choice(["paper"]), default="paper", show_default=True)
 @click.option("--certify", is_flag=True)
-@click.option("--threads", type=int, default=1, show_default=True)
+@click.option("--threads", type=int, default=1, help="Accepted for compatibility; ignored.")
 @_guard
 def report(examples, certify, threads):
     """Markdown regression report for the worked example claims."""
-    rows = _report_rows(certify, threads)
+    rows = _report_rows(certify)
     lines = [
         "| example | expected | computed | match |",
         "|---|---|---|---|",

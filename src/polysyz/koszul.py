@@ -215,33 +215,22 @@ def betti_table(
     policy: RankPolicy = RankPolicy(),
     threads: int = 1,
 ) -> BettiTable:
-    """All beta_{i,j} for 0 <= i <= max_i, i <= j <= i + max_slope."""
+    """All beta_{i,j} for 0 <= i <= max_i, i <= j <= i + max_slope.
+
+    `threads` is accepted for compatibility and ignored: the strands are
+    computed one after another.
+    """
     if max_slope + 1 > ring.dmax:
         raise WindowExceeded(
             f"window slope {max_slope} needs dmax >= {max_slope + 1}, "
             f"ring has dmax = {ring.dmax}"
         )
-    strands = [
-        (i, j)
-        for i in range(max_i + 1)
-        for j in range(i, i + max_slope + 1)
-    ]
     entries: Dict[Tuple[int, int], int] = {}
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(
-                lambda ij: (ij, koszul_betti(ring, *ij, policy=policy)), strands
-            )
-            for ij, b in results:
-                if b:
-                    entries[ij] = b
-    else:
-        for ij in strands:
-            b = koszul_betti(ring, *ij, policy=policy)
+    for i in range(max_i + 1):
+        for j in range(i, i + max_slope + 1):
+            b = koszul_betti(ring, i, j, policy=policy)
             if b:
-                entries[ij] = b
+                entries[(i, j)] = b
     return BettiTable(entries=entries, max_i=max_i, max_slope=max_slope, ring=ring)
 
 
@@ -259,7 +248,7 @@ def np_level(
     failures are monotone in p by construction.
     """
     if table is None:
-        table = betti_table(ring, pmax, max_slope, policy=policy, threads=threads)
+        table = betti_table(ring, pmax, max_slope, policy=policy)
     base_cert = None
     for j in range(1, max_slope + 1):
         b = table.get(0, j)

@@ -1,33 +1,29 @@
 """Rank computation policy: exact fraction-free vs. modular fast path.
 
 Small matrices are handled exactly (Bareiss over Python ints).  Larger ones
-use Gaussian elimination over GF(p) for a word-size prime derived
-deterministically from the caller-supplied key; ranks over Q and mod p agree
-for all but finitely many p, so a ~31-bit prime makes a wrong rank
-vanishingly unlikely.  Passing certify=True forces exact arithmetic
-everywhere.
+are reduced over GF(p) for a word-size prime derived deterministically from
+the caller-supplied key; ranks over Q and mod p agree for all but finitely
+many p, so a ~31-bit prime makes a wrong rank vanishingly unlikely.  Passing
+certify=True forces exact arithmetic everywhere.
+
+The modular kernel is sparse row reduction in pure Python: each row becomes
+a {column: value mod p} dict without zeros and is reduced against the pivot
+rows found so far, keyed by their leading column, until it vanishes or
+becomes a new pivot; the rank is the number of pivots (the "standard
+algorithm" of persistent homology, Zomorodian-Carlsson 2005).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import Dict
 
 from .intlinalg import exact_rank
 
-try:  # compiled hot loop; the numpy fallback is selected when absent
-    from . import _fastrank as _kernel
+BACKEND = "python"
 
-    BACKEND = "compiled"
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _rank_fallback as _kernel
-
-    BACKEND = "python"
-
-# 31-bit primes; products of reduced entries stay within int64.
+# 31-bit primes
 _PRIMES = (
     2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
     2147483549, 2147483543, 2147483497, 2147483489, 2147483477,
@@ -58,10 +54,27 @@ class RankPolicy:
 
 
 def rank_mod_p(rows, p: int) -> int:
-    a = np.ascontiguousarray(np.asarray(rows, dtype=np.int64))
-    if a.size == 0:
-        return 0
-    return int(_kernel.rank_mod_p(a, p))
+    """Rank over GF(p) of an integer matrix given as a list of rows."""
+    # pivot rows are keyed by their leading (largest) column and stored
+    # scaled so that entry is 1, with the entry itself left out
+    pivots: Dict[int, Dict[int, int]] = {}
+    for row in rows:
+        r = {j: w for j, v in enumerate(row) if v and (w := v % p)}
+        while r:
+            lead = max(r)
+            f = r.pop(lead)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = pow(f, -1, p)
+                pivots[lead] = {j: v * inv % p for j, v in r.items()}
+                break
+            for j, v in piv.items():
+                w = (r.get(j, 0) - f * v) % p
+                if w:
+                    r[j] = w
+                else:
+                    del r[j]
+    return len(pivots)
 
 
 def rank(rows, policy: RankPolicy = RankPolicy()) -> int:

@@ -91,13 +91,12 @@ class TestKoszulBetti:
             betti_table(ring, 2, 4)
 
     def test_modular_matches_exact(self, simplex112):
+        # exact_threshold=0 sends every block through the GF(p) kernel
         ring = build_ring(simplex112, 2, 5)
-        fast = RankPolicy(exact_threshold=4)
-        exact = RankPolicy(certify=True)
-        for (i, j) in [(1, 2), (2, 4), (0, 2)]:
-            assert koszul_betti(ring, i, j, policy=fast) == koszul_betti(
-                ring, i, j, policy=exact
-            )
+        exact = betti_table(ring, 3, 3, policy=RankPolicy(certify=True))
+        assert len(exact.entries) == 6
+        for fast in (RankPolicy(exact_threshold=4), RankPolicy(exact_threshold=0)):
+            assert betti_table(ring, 3, 3, policy=fast).entries == exact.entries
 
 
 class TestComplexIntegrity:
