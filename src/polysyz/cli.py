@@ -94,10 +94,21 @@ def _cache_lookup(cache_dir: Optional[str], key: dict) -> tuple[Optional[str], O
 
 
 def _cache_store(path: Optional[Path], payload: str) -> None:
+    """Write the entry atomically: a reader sees the whole payload or none.
+
+    The temporary name is unique per process (the CLI runs one thread), and
+    it never ends in .json, so `_cache_lookup` cannot serve it.
+    """
     if path is None:
         return
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(payload)
+    tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _vec(s: str) -> tuple:
@@ -162,11 +173,15 @@ def _np_payload(P, c, max_i, max_slope, certify, pmax=None):
         "pmax": pmax,
     }
     policy = RankPolicy(certify=certify).with_key(canonical_key(key))
+    return _checked_table(P, c, max_i, max_slope, policy)
+
+
+def _checked_table(P, c, max_i, max_slope, policy):
     ring = build_ring(P, c, max_slope + 1)
     table = betti_table(ring, max_i, max_slope, policy=policy)
     if not k_polynomial_checksum(table):
         raise ConsistencyError("K-polynomial checksum mismatch")
-    return key, ring, table
+    return ring, table
 
 
 @cli.command()
@@ -199,7 +214,7 @@ def betti(polytope, c, max_i, max_slope, certify, threads, cache_dir, fmt):
     if cached is not None:
         click.echo(cached, nl=False)
         return
-    _, _, table = _np_payload(P, c, max_i, max_slope, certify)
+    _, table = _np_payload(P, c, max_i, max_slope, certify)
     if fmt == "text":
         payload = betti_text_table(table) + "\n"
     else:
@@ -236,7 +251,7 @@ def np_cmd(polytope, c, pmax, max_slope, certify, threads, cache_dir):
     if cached is not None:
         click.echo(cached, nl=False)
         return
-    _, ring, table = _np_payload(P, c, pmax, max_slope, certify, pmax=pmax)
+    ring, table = _np_payload(P, c, pmax, max_slope, certify, pmax=pmax)
     verdicts = np_level(ring, pmax, max_slope, table=table)
     payload = dumps(
         {
@@ -394,9 +409,8 @@ def _report_rows(certify: bool):
         policy = RankPolicy(certify=certify).with_key(
             canonical_key([[list(v) for v in P.vertices], c, pmax, slope])
         )
-        ring = build_ring(P, c, slope + 1)
-        verdicts = np_level(ring, pmax, slope, policy=policy)
-        return {v.p: v for v in verdicts}
+        ring, table = _checked_table(P, c, pmax, slope, policy)
+        return {v.p: v for v in np_level(ring, pmax, slope, table=table)}
 
     v = np_status(cubic, 1, 1, 3)
     rows.append(

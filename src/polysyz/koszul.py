@@ -10,6 +10,12 @@ the lattice-point multidegree (the sum of the wedge factors and the ring
 element); blocks stay small even when the ambient strand has dimension in
 the tens of thousands, and each block rank is computed exactly or modulo a
 large prime per the rank policy.
+
+The section ring R of cP is the Ehrhart ring of cP: a normal affine semigroup
+ring, hence Cohen-Macaulay (Hochster 1972), so its Castelnuovo-Mumford
+regularity is the degree of its h*-polynomial (Bruns-Herzog, Cohen-Macaulay
+Rings, section 6.3).  Every beta_{i,j} with j - i > reg vanishes; those strands
+are zero by theorem and are skipped without building a block.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .ehrhart import ehrhart_polynomial
+from .ehrhart import ehrhart_polynomial, integer_root_count
 from .errors import ConsistencyError, WindowExceeded
 from .lattice import LatticePoint, LatticePolytope, lattice_points
 from .ranks import RankPolicy, rank
@@ -32,6 +38,11 @@ class GradedSectionRing:
     c: int
     dmax: int
     bases: Tuple[Tuple[LatticePoint, ...], ...]
+    # Castelnuovo-Mumford regularity of R over Sym V.  R is normal, hence
+    # Cohen-Macaulay (Hochster 1972), so reg R = deg h*(cP)
+    # = n + 1 - ceil((r(P) + 1) / c) (Bruns-Herzog, section 6.3) and
+    # beta_{i,j} = 0 whenever j - i > reg.
+    reg: int
     index: Tuple[Dict[LatticePoint, int], ...] = field(repr=False, hash=False, compare=False)
 
     @property
@@ -55,7 +66,11 @@ def build_ring(P: LatticePolytope, c: int, dmax: int) -> GradedSectionRing:
                 f"|bases[{d}]| = {len(b)} but Ehrhart predicts {h(c * d)}"
             )
     index = tuple({p: k for k, p in enumerate(b)} for b in bases)
-    return GradedSectionRing(polytope=P, c=c, dmax=dmax, bases=bases, index=index)
+    r = integer_root_count(h).r
+    reg = h.degree + 1 - (r + c) // c
+    return GradedSectionRing(
+        polytope=P, c=c, dmax=dmax, bases=bases, reg=reg, index=index
+    )
 
 
 @dataclass(frozen=True)
@@ -149,12 +164,19 @@ def koszul_betti(
     j: int,
     policy: RankPolicy = RankPolicy(),
 ) -> int:
-    """dim Tor_i(R,k)_j, as dim ker(outgoing) - rank(incoming) per block."""
+    """dim Tor_i(R,k)_j; zero without computation above the regularity."""
     if i < 0 or j < 0:
         raise ValueError("i, j must be nonnegative")
     if i > ring.dim_V or j < i:
         return 0
     _check_window(ring, i, j)
+    if j - i > ring.reg:
+        return 0
+    return _strand_betti(ring, i, j, policy)
+
+
+def _strand_betti(ring: GradedSectionRing, i: int, j: int, policy: RankPolicy) -> int:
+    """dim ker(outgoing) - rank(incoming), summed over the strand's blocks."""
     mid = _level_blocks(ring, i, j - i)
     src = _level_blocks(ring, i + 1, j - i - 1)
     tgt = _level_blocks(ring, i - 1, j - i + 1) if i >= 1 else {}

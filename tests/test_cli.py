@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from polysyz import cli as cli_module
 from polysyz.cli import cli
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -155,6 +156,26 @@ class TestDeterminism:
         warm = run_ok(runner, args).stdout
         assert cold == warm
 
+    def test_cache_write_is_atomic(self, tmp_path, monkeypatch):
+        path = tmp_path / "entry.json"
+        cli_module._cache_store(path, '{"ok": 1}')
+        assert path.read_bytes() == b'{"ok": 1}'
+        assert [p.name for p in tmp_path.iterdir()] == ["entry.json"]
+        path.unlink()
+
+        # the payload cannot be encoded: the write fails after the file is open
+        with pytest.raises(UnicodeEncodeError):
+            cli_module._cache_store(path, '{"torn": "\ud800"}')
+        assert list(tmp_path.iterdir()) == []
+
+        def crash(src, dst):
+            raise OSError("crash before rename")
+
+        monkeypatch.setattr(cli_module.os, "replace", crash)
+        with pytest.raises(OSError):
+            cli_module._cache_store(path, '{"ok": 1}')
+        assert list(tmp_path.iterdir()) == []
+
     def test_threads_do_not_change_output(self, runner):
         base = run_ok(runner, ["betti", SIMPLEX, "--max-i", "2", "--max-slope", "4"]).stdout
         threaded = run_ok(
@@ -176,3 +197,10 @@ def test_report(runner):
     out = run_ok(runner, ["report"]).stdout
     assert "| match |" in out
     assert "NO" not in out
+
+
+def test_report_checksum_mismatch(runner, monkeypatch):
+    monkeypatch.setattr(cli_module, "k_polynomial_checksum", lambda table: False)
+    result = runner.invoke(cli, ["report"])
+    assert result.exit_code == 4
+    assert "checksum" in result.output

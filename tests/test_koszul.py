@@ -1,3 +1,5 @@
+from math import ceil
+
 import pytest
 
 from polysyz import (
@@ -9,8 +11,11 @@ from polysyz import (
     compose_is_zero,
     k_polynomial_checksum,
     koszul_betti,
+    lattice_points,
     np_level,
 )
+from polysyz.ehrhart import r_of_polytope
+from polysyz.koszul import _strand_betti
 
 from .oracles import dense_betti
 
@@ -35,6 +40,47 @@ class TestBuildRing:
                 for v in ring.bases[1]:
                     s = tuple(x + y for x, y in zip(u, v))
                     assert s in ring.index[a + 1]
+
+
+class TestRegularity:
+    def test_fixtures(self, unit_triangle, unit_square, cubic_triangle, simplex112):
+        cases = [
+            (unit_triangle, 1, 0),
+            (unit_triangle, 2, 1),
+            (unit_square, 1, 1),
+            (cubic_triangle, 1, 2),
+            (cubic_triangle, 2, 2),
+            (simplex112, 2, 3),
+        ]
+        for P, c, reg in cases:
+            assert build_ring(P, c, 1).reg == reg
+
+    def test_matches_interior_points(self, corpus50):
+        # reg comes from the Hilbert roots of h; r_of_polytope searches interiors
+        for P in corpus50:
+            r = r_of_polytope(P)
+            for c in (1, 2, 3):
+                assert build_ring(P, c, 1).reg == P.dim + 1 - ceil((r + 1) / c)
+
+    def test_bound_is_sharp(self, cubic_triangle):
+        ring = build_ring(cubic_triangle, 1, 4)
+        assert ring.reg == 2
+        assert koszul_betti(ring, 1, 1 + ring.reg) == 1
+
+    def test_unclamped_strands_vanish(self, corpus50):
+        # the engine never builds these strands; check that the theorem holds
+        checked = 0
+        for P in corpus50:
+            n = P.dim
+            for c in (1, 2):
+                if len(lattice_points(P, c)) > 10:  # dim_V of the ring
+                    continue
+                ring = build_ring(P, c, n + 3)
+                for i in range(3):
+                    for slope in range(ring.reg + 1, n + 3):
+                        assert _strand_betti(ring, i, i + slope, RankPolicy()) == 0
+                        checked += 1
+        assert checked > 0
 
 
 class TestKoszulBetti:
