@@ -28,13 +28,12 @@ from .criteria import cor1, cor_canonical_product, cor_hilbert, cor_polytope, co
 from .ehrhart import ehrhart_polynomial, integer_root_count
 from .errors import ConsistencyError, DegenerateInput, DimensionMismatch, WindowExceeded
 from .koszul import betti_table, build_ring, k_polynomial_checksum, np_level
-from .lattice import lattice_points
+from .lattice import LatticePolytope, lattice_points
 from .normality import is_normal
 from .ranks import RankPolicy
 from .serialize import (
     betti_text_table,
     betti_to_json,
-    canonical_key,
     content_hash,
     criterion_to_json,
     dumps,
@@ -162,26 +161,28 @@ def normality(polytope, mmax):
     click.echo(dumps(normality_to_json(is_normal(P, mmax))), nl=False)
 
 
-def _np_payload(P, c, max_i, max_slope, certify, pmax=None):
-    key = {
-        "engine": ENGINE_VERSION,
-        "vertices": [list(v) for v in P.vertices],
-        "c": c,
-        "max_i": max_i,
-        "max_slope": max_slope,
-        "certify": certify,
-        "pmax": pmax,
-    }
-    policy = RankPolicy(certify=certify).with_key(canonical_key(key))
-    return _checked_table(P, c, max_i, max_slope, policy)
-
-
-def _checked_table(P, c, max_i, max_slope, policy):
+def _checked_table(P, c, max_i, max_slope, certify):
+    """Ring and Betti window of cP, refused (exit 4) on a checksum mismatch."""
     ring = build_ring(P, c, max_slope + 1)
-    table = betti_table(ring, max_i, max_slope, policy=policy)
+    table = betti_table(ring, max_i, max_slope, policy=RankPolicy(certify=certify))
     if not k_polynomial_checksum(table):
         raise ConsistencyError("K-polynomial checksum mismatch")
     return ring, table
+
+
+def _echo_cached(cache_dir, cmd, P, window, compute):
+    """Echo the cached payload of this window, or compute and store it first."""
+    key = {
+        "cmd": cmd,
+        "engine": ENGINE_VERSION,
+        "vertices": [list(v) for v in P.vertices],
+        **window,
+    }
+    payload, path = _cache_lookup(cache_dir, key)
+    if payload is None:
+        payload = compute()
+        _cache_store(path, payload)
+    click.echo(payload, nl=False)
 
 
 @cli.command()
@@ -200,27 +201,15 @@ def betti(polytope, c, max_i, max_slope, certify, threads, cache_dir, fmt):
     if max_slope is None:
         max_slope = P.dim + 2
     _check_limits(max_i=max_i, max_slope=max_slope)
-    key = {
-        "cmd": "betti",
-        "engine": ENGINE_VERSION,
-        "vertices": [list(v) for v in P.vertices],
-        "c": c,
-        "max_i": max_i,
-        "max_slope": max_slope,
-        "certify": certify,
-        "fmt": fmt,
-    }
-    cached, path = _cache_lookup(cache_dir, key)
-    if cached is not None:
-        click.echo(cached, nl=False)
-        return
-    _, table = _np_payload(P, c, max_i, max_slope, certify)
-    if fmt == "text":
-        payload = betti_text_table(table) + "\n"
-    else:
-        payload = dumps(betti_to_json(table))
-    _cache_store(path, payload)
-    click.echo(payload, nl=False)
+
+    def compute():
+        _, table = _checked_table(P, c, max_i, max_slope, certify)
+        if fmt == "text":
+            return betti_text_table(table) + "\n"
+        return dumps(betti_to_json(table))
+
+    window = {"c": c, "max_i": max_i, "max_slope": max_slope, "certify": certify, "fmt": fmt}
+    _echo_cached(cache_dir, "betti", P, window, compute)
 
 
 @cli.command(name="np")
@@ -238,31 +227,21 @@ def np_cmd(polytope, c, pmax, max_slope, certify, threads, cache_dir):
     if max_slope is None:
         max_slope = P.dim + 2
     _check_limits(pmax=pmax, max_slope=max_slope)
-    key = {
-        "cmd": "np",
-        "engine": ENGINE_VERSION,
-        "vertices": [list(v) for v in P.vertices],
-        "c": c,
-        "pmax": pmax,
-        "max_slope": max_slope,
-        "certify": certify,
-    }
-    cached, path = _cache_lookup(cache_dir, key)
-    if cached is not None:
-        click.echo(cached, nl=False)
-        return
-    ring, table = _np_payload(P, c, pmax, max_slope, certify, pmax=pmax)
-    verdicts = np_level(ring, pmax, max_slope, table=table)
-    payload = dumps(
-        {
-            "c": c,
-            "window": {"max_i": pmax, "max_slope": max_slope},
-            "verdicts": verdicts_to_json(verdicts),
-            "betti": betti_to_json(table)["entries"],
-        }
-    )
-    _cache_store(path, payload)
-    click.echo(payload, nl=False)
+
+    def compute():
+        ring, table = _checked_table(P, c, pmax, max_slope, certify)
+        verdicts = np_level(ring, pmax, max_slope, table=table)
+        return dumps(
+            {
+                "c": c,
+                "window": {"max_i": pmax, "max_slope": max_slope},
+                "verdicts": verdicts_to_json(verdicts),
+                "betti": betti_to_json(table)["entries"],
+            }
+        )
+
+    window = {"c": c, "pmax": pmax, "max_slope": max_slope, "certify": certify}
+    _echo_cached(cache_dir, "np", P, window, compute)
 
 
 @cli.command()
@@ -395,67 +374,37 @@ def corpus(seed, count_, dim, coord_bound, out_dir):
 
 
 def _report_rows(certify: bool):
-    from .lattice import LatticePolytope
-    from .normality import is_normal as _is_normal
-
     cubic = LatticePolytope.from_points([(1, 0), (0, 1), (1, 1), (2, 2)])
     unit_tri = LatticePolytope.from_points([(0, 0), (1, 0), (0, 1)])
     simplex112 = LatticePolytope.from_points(
         [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)]
     )
+    # (name, P, c, max slope, expected, the p that must not fail, the p that
+    # must fail or None); the window runs up to the last p shown
+    windows = (
+        ("cubic surface, c=1", cubic, 1, 3, "N_0 holds, N_1 fails", (0,), 1),
+        ("cubic surface, c=2", cubic, 2, 4, "N_3 holds, N_4 fails", (3,), 4),
+        ("(1,1,2)-simplex, c=2", simplex112, 2, 5, "N_1 holds, N_2 fails", (1,), 2),
+        ("Veronese conic net, c=2", unit_tri, 2, 4, "no failure through N_2", (0, 1, 2), None),
+    )
     rows = []
-
-    def np_status(P, c, pmax, slope):
-        policy = RankPolicy(certify=certify).with_key(
-            canonical_key([[list(v) for v in P.vertices], c, pmax, slope])
-        )
-        ring, table = _checked_table(P, c, pmax, slope, policy)
-        return {v.p: v for v in np_level(ring, pmax, slope, table=table)}
-
-    v = np_status(cubic, 1, 1, 3)
-    rows.append(
-        (
-            "cubic surface, c=1",
-            "N_0 holds, N_1 fails",
-            f"N_0 {v[0].status}, N_1 {v[1].status}",
-            v[0].status != "FAILS" and v[1].status == "FAILS",
-        )
-    )
-    v = np_status(cubic, 2, 4, 4)
-    rows.append(
-        (
-            "cubic surface, c=2",
-            "N_3 holds, N_4 fails",
-            f"N_3 {v[3].status}, N_4 {v[4].status}",
-            v[3].status != "FAILS" and v[4].status == "FAILS",
-        )
-    )
-    rep = _is_normal(simplex112)
-    rows.append(
+    for name, P, c, slope, expected, holds, fails in windows:
+        shown = (holds[-1],) if fails is None else (holds[-1], fails)
+        pmax = shown[-1]
+        ring, table = _checked_table(P, c, pmax, slope, certify)
+        v = {x.p: x.status for x in np_level(ring, pmax, slope, table=table)}
+        computed = ", ".join(f"N_{p} {v[p]}" for p in shown)
+        match = all(v[p] != "FAILS" for p in holds) and (fails is None or v[fails] == "FAILS")
+        rows.append((name, expected, computed, match))
+    rep = is_normal(simplex112)
+    rows.insert(
+        2,
         (
             "(1,1,2)-simplex",
             "not normal, witness ((1,1,1), m=2)",
             f"normal={rep.normal}, witness={rep.witness}",
             (not rep.normal) and rep.witness == ((1, 1, 1), 2),
-        )
-    )
-    v = np_status(simplex112, 2, 2, 5)
-    rows.append(
-        (
-            "(1,1,2)-simplex, c=2",
-            "N_1 holds, N_2 fails",
-            f"N_1 {v[1].status}, N_2 {v[2].status}",
-            v[1].status != "FAILS" and v[2].status == "FAILS",
-        )
-    )
-    v = np_status(unit_tri, 2, 2, 4)
-    rows.append(
-        (
-            "Veronese conic net, c=2",
-            "no failure through N_2",
-            f"N_2 {v[2].status}",
-            all(v[p].status != "FAILS" for p in range(3)),
-        )
+        ),
     )
     return rows
 

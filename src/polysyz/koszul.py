@@ -8,8 +8,8 @@ with V spanned by the degree-one basis.  Because the ring is multigraded by
 the lattice itself, every strand splits into independent blocks indexed by
 the lattice-point multidegree (the sum of the wedge factors and the ring
 element); blocks stay small even when the ambient strand has dimension in
-the tens of thousands, and each block rank is computed exactly or modulo a
-large prime per the rank policy.
+the tens of thousands, and each block rank is computed exactly or modulo the
+rank policy's prime, one fixed prime (2^31 - 1) for every caller.
 
 The section ring R of cP is the Ehrhart ring of cP: a normal affine semigroup
 ring, hence Cohen-Macaulay (Hochster 1972), so its Castelnuovo-Mumford

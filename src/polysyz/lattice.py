@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, List, Optional, Tuple
 
 from .errors import DegenerateInput, DimensionMismatch
@@ -140,40 +141,38 @@ def normalize_full_dim(points: Iterable[LatticePoint]) -> LatticePolytope:
     return LatticePolytope.from_points(new_pts)
 
 
+def _box_walk(P: LatticePolytope, d: int, strict: bool) -> List[LatticePoint]:
+    """Lattice points x of the bounding box of dP, in lexicographic order,
+    with <normal, x> >= d * offset on every facet, or > when `strict`.
+
+    Normals and offsets are integers, so the strict test is the closed one
+    with the threshold d * offset + 1.
+    """
+    n = P.ambient_dim
+    los = [d * min(v[i] for v in P.vertices) for i in range(n)]
+    his = [d * max(v[i] for v in P.vertices) for i in range(n)]
+    tests = [(f.normal, d * f.offset + int(strict)) for f in P.facets]
+    out = []
+    for x in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
+        if all(sum(map(mul, normal, x)) >= t for normal, t in tests):
+            out.append(x)
+    return out
+
+
 def lattice_points(P: LatticePolytope, d: int) -> List[LatticePoint]:
     """All lattice points of the dilation dP, sorted lexicographically."""
     if d < 0:
         raise ValueError("dilation must be nonnegative")
     if P.dim == 0:
         return [()]
-    n = P.ambient_dim
-    los = [d * min(v[i] for v in P.vertices) for i in range(n)]
-    his = [d * max(v[i] for v in P.vertices) for i in range(n)]
-    out = []
-    facets = P.facets
-    for x in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
-        if all(
-            sum(a * b for a, b in zip(f.normal, x)) >= d * f.offset for f in facets
-        ):
-            out.append(x)
-    return out
+    return _box_walk(P, d, strict=False)
 
 
 def interior_lattice_points(P: LatticePolytope, d: int) -> List[LatticePoint]:
     """Lattice points strictly inside dP."""
     if P.dim == 0:
         return []
-    n = P.ambient_dim
-    los = [d * min(v[i] for v in P.vertices) for i in range(n)]
-    his = [d * max(v[i] for v in P.vertices) for i in range(n)]
-    out = []
-    facets = P.facets
-    for x in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
-        if all(
-            sum(a * b for a, b in zip(f.normal, x)) > d * f.offset for f in facets
-        ):
-            out.append(x)
-    return out
+    return _box_walk(P, d, strict=True)
 
 
 def contains(P: LatticePolytope, d: int, x: LatticePoint) -> bool:

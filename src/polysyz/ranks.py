@@ -1,8 +1,8 @@
 """Rank computation policy: exact fraction-free vs. modular fast path.
 
 Small matrices are handled exactly (Bareiss over Python ints).  Larger ones
-are reduced over GF(p) for a word-size prime derived deterministically from
-the caller-supplied key; ranks over Q and mod p agree for all but finitely
+are reduced over GF(p) for one fixed prime, p = 2^31 - 1, the same for every
+caller and every input; ranks over Q and mod p agree for all but finitely
 many p, so a ~31-bit prime makes a wrong rank vanishingly unlikely.  Passing
 certify=True forces exact arithmetic everywhere.
 
@@ -15,7 +15,6 @@ algorithm" of persistent homology, Zomorodian-Carlsson 2005).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Dict
 
@@ -23,34 +22,14 @@ from .intlinalg import exact_rank
 
 BACKEND = "python"
 
-# 31-bit primes
-_PRIMES = (
-    2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
-    2147483549, 2147483543, 2147483497, 2147483489, 2147483477,
-    2147483423, 2147483399, 2147483353, 2147483323, 2147483269,
-    2147483249, 2147483237, 2147483179, 2147483171, 2147483137,
-    2147483123, 2147483077, 2147483069, 2147483059, 2147483053,
-    2147483033, 2147483029, 2147482951, 2147482949, 2147482943,
-    2147482937, 2147482921,
-)
-
 DEFAULT_EXACT_THRESHOLD = 48
-
-
-def prime_for(key: bytes) -> int:
-    """Deterministic prime choice so identical inputs give identical runs."""
-    digest = hashlib.sha256(key).digest()
-    return _PRIMES[digest[0] % len(_PRIMES)]
 
 
 @dataclass(frozen=True)
 class RankPolicy:
     exact_threshold: int = DEFAULT_EXACT_THRESHOLD
     certify: bool = False
-    prime: int = _PRIMES[0]
-
-    def with_key(self, key: bytes) -> "RankPolicy":
-        return RankPolicy(self.exact_threshold, self.certify, prime_for(key))
+    prime: int = 2**31 - 1  # the one modulus, for every caller
 
 
 def rank_mod_p(rows, p: int) -> int:

@@ -18,10 +18,6 @@ def frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def polytope_from_json(data: Any) -> LatticePolytope:
     """Parse {"vertices": [[int,...],...]} and normalize to full dimension."""
     if not isinstance(data, dict) or "vertices" not in data:
@@ -119,7 +115,7 @@ def criterion_to_json(res) -> Dict[str, Any]:
 
 
 def canonical_key(obj: Any) -> bytes:
-    """Stable bytes for cache keys and prime derivation."""
+    """Stable bytes for cache keys."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 

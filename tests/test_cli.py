@@ -4,8 +4,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from polysyz import betti_table, build_ring
 from polysyz import cli as cli_module
 from polysyz.cli import cli
+from polysyz.serialize import load_polytope
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 CUBIC = str(DATA / "cubic_triangle.json")
@@ -193,10 +195,36 @@ class TestDeterminism:
         assert json.loads(fast)["entries"] == json.loads(exact)["entries"]
 
 
+@pytest.mark.parametrize(
+    "path, c, max_i, slope", [(CUBIC, 2, 4, 4), (SIMPLEX, 2, 2, 5)]
+)
+def test_one_answer_per_window(runner, path, c, max_i, slope):
+    """`betti`, the table inside `np` and the library agree on the window."""
+    window = ["--c", str(c), "--max-slope", str(slope)]
+    betti = json.loads(
+        run_ok(runner, ["betti", path, "--max-i", str(max_i)] + window).stdout
+    )
+    np_payload = json.loads(
+        run_ok(runner, ["np", path, "--pmax", str(max_i)] + window).stdout
+    )
+    table = betti_table(build_ring(load_polytope(path), c, slope + 1), max_i, slope)
+    library = {f"{i},{j}": b for (i, j), b in sorted(table.entries.items())}
+    assert betti["entries"] == np_payload["betti"] == library
+
+
+REPORT = """\
+| example | expected | computed | match |
+|---|---|---|---|
+| cubic surface, c=1 | N_0 holds, N_1 fails | N_0 VERIFIED_UP_TO, N_1 FAILS | yes |
+| cubic surface, c=2 | N_3 holds, N_4 fails | N_3 VERIFIED_UP_TO, N_4 FAILS | yes |
+| (1,1,2)-simplex | not normal, witness ((1,1,1), m=2) | normal=False, witness=((1, 1, 1), 2) | yes |
+| (1,1,2)-simplex, c=2 | N_1 holds, N_2 fails | N_1 VERIFIED_UP_TO, N_2 FAILS | yes |
+| Veronese conic net, c=2 | no failure through N_2 | N_2 VERIFIED_UP_TO | yes |
+"""
+
+
 def test_report(runner):
-    out = run_ok(runner, ["report"]).stdout
-    assert "| match |" in out
-    assert "NO" not in out
+    assert run_ok(runner, ["report"]).stdout == REPORT
 
 
 def test_report_checksum_mismatch(runner, monkeypatch):

@@ -137,6 +137,26 @@ class TestInterior:
     def test_simplex112_2p(self, simplex112):
         assert (1, 1, 1) in interior_lattice_points(simplex112, 2)
 
+    def test_closed_points_off_every_facet(self, corpus50):
+        for P in corpus50[::5]:
+            for d in range(4):
+                off_facets = [
+                    x
+                    for x in lattice_points(P, d)
+                    if all(
+                        sum(a * b for a, b in zip(f.normal, x)) != d * f.offset
+                        for f in P.facets
+                    )
+                ]
+                assert interior_lattice_points(P, d) == off_facets
+
+    def test_edge_cases(self, unit_triangle):
+        with pytest.raises(ValueError):
+            lattice_points(unit_triangle, -1)
+        point = normalize_full_dim([(5, 7)])
+        assert lattice_points(point, 2) == [()]
+        assert interior_lattice_points(point, 2) == []
+
 
 class TestContains:
     def test_examples(self, unit_triangle, simplex112):
