@@ -1,12 +1,14 @@
 """Command-line surface.
 
 Exit codes: 0 success, 2 bad input, 3 window/limit exceeded, 4 internal
-consistency failure.  All payloads are JSON with exact fraction strings;
-`betti` can also render the conventional text table.
+fault (a failed consistency check, or any other error the package raises).
+All payloads are JSON with exact fraction strings; `betti` can also render
+the conventional text table.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 from pathlib import Path
@@ -74,10 +76,12 @@ def _guard(fn):
             return fn(*args, **kwargs)
         except WindowExceeded as exc:
             _fail(3, str(exc))
-        except (DegenerateInput, DimensionMismatch, FileNotFoundError, ValueError) as exc:
+        except (DegenerateInput, DimensionMismatch, FileNotFoundError) as exc:
             _fail(2, str(exc))
         except ConsistencyError as exc:
             _fail(4, str(exc))
+        except ValueError as exc:  # raised inside the package, not by the input
+            _fail(4, f"internal error: {exc}")
 
     return wrapper
 
@@ -88,7 +92,10 @@ def _cache_lookup(cache_dir: Optional[str], key: dict) -> tuple[Optional[str], O
         return None, None
     path = Path(cache_dir) / f"{content_hash(key)}.json"
     if path.exists():
-        return path.read_text(), path
+        try:
+            return path.read_text(), path
+        except UnicodeDecodeError:  # not an entry this module wrote
+            return None, path
     return None, path
 
 
@@ -108,6 +115,25 @@ def _cache_store(path: Optional[Path], payload: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _intact(payload: str, text: bool) -> bool:
+    """Whether a cached payload can be echoed: a text table is non-empty and
+    ends in a newline, and anything else must parse as JSON."""
+    if text:
+        return payload.endswith("\n")
+    try:
+        json.loads(payload)
+    except ValueError:
+        return False
+    return True
+
+
+def _int(s: str) -> int:
+    try:
+        return int(s)
+    except ValueError:
+        raise DegenerateInput(f"expected an integer, got {s!r}")
 
 
 def _vec(s: str) -> tuple:
@@ -179,7 +205,8 @@ def _echo_cached(cache_dir, cmd, P, window, compute):
         **window,
     }
     payload, path = _cache_lookup(cache_dir, key)
-    if payload is None:
+    # a torn or foreign entry is a miss: recompute it and store it over
+    if payload is None or not _intact(payload, text=window.get("fmt") == "text"):
         payload = compute()
         _cache_store(path, payload)
     click.echo(payload, nl=False)
@@ -259,7 +286,7 @@ def cohomology(polytope, twist, product_dims):
         if polytope is None:
             raise DegenerateInput("need a polytope path or --product")
         P = load_polytope(polytope)
-        prof = ample_power_profile(P, int(twist))
+        prof = ample_power_profile(P, _int(twist))
     click.echo(
         dumps(
             {
@@ -289,7 +316,7 @@ def regularity(polytope, twist, product_dims):
         if polytope is None:
             raise DegenerateInput("need a polytope path or --product")
         P = load_polytope(polytope)
-        m = int(twist)
+        m = _int(twist)
         ok = is_regular_single(P, m)
         click.echo(dumps({"context": "ample_power", "twist": [m], "regular": ok}), nl=False)
 
@@ -339,7 +366,7 @@ def criteria_cmd(polytope, d_opt, p, product_dims):
         if polytope is None:
             raise DegenerateInput("need a polytope path or --product")
         P = load_polytope(polytope)
-        d = int(d_opt) if d_opt is not None else 1
+        d = _int(d_opt) if d_opt is not None else 1
         results.append(cor1(P.dim, d, p))
         if p >= 1:
             results.append(cor_hilbert(P, d, p))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .errors import DegenerateInput
 from .lattice import LatticePolytope, interior_lattice_points, lattice_points
 
 
@@ -72,7 +73,7 @@ def coh_dim_product(
 ) -> int:
     """dim H^i(P^{n_1} x ... x P^{n_l}, O(a)) by the Kunneth formula."""
     if len(n) != len(a):
-        raise ValueError("factor dimensions and twist lengths differ")
+        raise DegenerateInput("factor dimensions and twist lengths differ")
     if i < 0 or i > sum(n):
         return 0
     total = 0
@@ -119,9 +120,9 @@ class WeightPlan:
 
     def __post_init__(self):
         if self.p < 1 or len(self.weights) < self.p:
-            raise ValueError("need at least p weight vectors")
+            raise DegenerateInput("need at least p weight vectors")
         if any(len(w) != self.ell for w in self.weights):
-            raise ValueError("weight vector of wrong length")
+            raise DegenerateInput("weight vector of wrong length")
 
     def m(self, i: int) -> Tuple[int, ...]:
         acc = (0,) * self.ell

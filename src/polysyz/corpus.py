@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from typing import List
 
+from .errors import DegenerateInput
 from .lattice import LatticePolytope, normalize_full_dim
 
 
@@ -17,7 +18,7 @@ def generate_corpus(
     and deduplicated by their canonical (sorted) vertex tuple.
     """
     if dim > 4 or coord_bound > 6:
-        raise ValueError("corpus generation is desk-scale: dim <= 4, bound <= 6")
+        raise DegenerateInput("corpus generation is desk-scale: dim <= 4, bound <= 6")
     rng = random.Random(seed)
     seen = set()
     out: List[LatticePolytope] = []

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from .ehrhart import ehrhart_polynomial, integer_root_count, r_of_polytope
+from .errors import DegenerateInput
 from .lattice import LatticePolytope, dilate
 from .normality import is_normal
 
@@ -42,7 +43,7 @@ def cor1(n: int, d: int, p: int) -> CriterionResult:
 def cor_hilbert(P: LatticePolytope, d: int, p: int) -> CriterionResult:
     """Sharper bound d >= max(deg h - r + p - 1, p) using the Hilbert data."""
     if p < 1:
-        raise ValueError("the Hilbert-root criterion requires p >= 1")
+        raise DegenerateInput("the Hilbert-root criterion requires p >= 1")
     h = ehrhart_polynomial(P)
     r = integer_root_count(h).r
     threshold = max(h.degree - r + p - 1, p)
@@ -106,7 +107,7 @@ def cor_canonical_product(
     m >= k*(1,...,1) + K coordinatewise.
     """
     if p < 1:
-        raise ValueError("the adjoint criterion requires p >= 1")
+        raise DegenerateInput("the adjoint criterion requires p >= 1")
     ell = len(n)
     total = sum(n)
     count = total + p if ell >= 2 else total + 1 + p

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, DegenerateInput
 from .lattice import LatticePolytope, interior_lattice_points, lattice_points
 
 
@@ -81,7 +81,7 @@ def integer_root_count(h: EhrhartPolynomial) -> RootData:
 def r_of_polytope(P: LatticePolytope) -> int:
     """Largest r such that rP has no interior lattice point."""
     if P.dim < 1:
-        raise ValueError("r(P) needs dim >= 1")
+        raise DegenerateInput("r(P) needs dim >= 1")
     r = 0
     while r <= P.dim and not interior_lattice_points(P, r + 1):
         r += 1

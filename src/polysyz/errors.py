@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: bad input -> 2, window/limit
-violations -> 3, internal consistency failures -> 4.
+violations -> 3, internal consistency failures -> 4.  Input validation raises
+DegenerateInput (still a ValueError for library callers); any other ValueError
+is an internal fault and also exits 4.
 """
 
 

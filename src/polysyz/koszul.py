@@ -16,6 +16,19 @@ ring, hence Cohen-Macaulay (Hochster 1972), so its Castelnuovo-Mumford
 regularity is the degree of its h*-polynomial (Bruns-Herzog, Cohen-Macaulay
 Rings, section 6.3).  Every beta_{i,j} with j - i > reg vanishes; those strands
 are zero by theorem and are skipped without building a block.
+
+Blocks are kept in integers.  `build_ring` gives every basis point p of every
+degree the additive code  code(p) = sum_k p_k * M^k  with the radix
+M = 2 * (dim V + dmax) * A + 1, where A is the largest absolute coordinate in
+bases[dmax].  The multidegree u of an element of wedge^q V (x) R_d is a sum of
+at most dim V + dmax points, each coordinate at most A in absolute value, so
+two such multidegrees differ by less than M in every coordinate, and a
+base-M expansion whose digits lie strictly between -M and M is zero only if
+every digit is: the code is injective on every multidegree the engine meets,
+and code(a + b) = code(a) + code(b).  Blocks are keyed by the code of u, a
+basis element is the int k * |R_d| + r (k the position of S in
+combinations(range(dim V), q), r the index of the ring element), and a
+differential column costs one int add and int-keyed dict lookups per term.
 """
 
 from __future__ import annotations
@@ -25,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .ehrhart import ehrhart_polynomial, integer_root_count
-from .errors import ConsistencyError, WindowExceeded
+from .errors import ConsistencyError, DegenerateInput, WindowExceeded
 from .lattice import LatticePoint, LatticePolytope, lattice_points
 from .ranks import RankPolicy, rank
 
@@ -44,6 +57,14 @@ class GradedSectionRing:
     # beta_{i,j} = 0 whenever j - i > reg.
     reg: int
     index: Tuple[Dict[LatticePoint, int], ...] = field(repr=False, hash=False, compare=False)
+    # codes[d][r] is the additive int code of bases[d][r] (see the module
+    # docstring); code_index[d] maps a code back to its index in bases[d]
+    codes: Tuple[Tuple[int, ...], ...] = field(repr=False, hash=False, compare=False)
+    code_index: Tuple[Dict[int, int], ...] = field(repr=False, hash=False, compare=False)
+    # q -> the wedge table of `_wedge`, filled on first use
+    wedges: Dict[int, tuple] = field(
+        default_factory=dict, repr=False, hash=False, compare=False
+    )
 
     @property
     def dim_V(self) -> int:
@@ -57,7 +78,7 @@ class GradedSectionRing:
 
 def build_ring(P: LatticePolytope, c: int, dmax: int) -> GradedSectionRing:
     if c < 1 or dmax < 1:
-        raise ValueError("need c >= 1 and dmax >= 1")
+        raise DegenerateInput("need c >= 1 and dmax >= 1")
     bases = tuple(tuple(lattice_points(P, c * d)) for d in range(dmax + 1))
     h = ehrhart_polynomial(P)
     for d, b in enumerate(bases):
@@ -66,11 +87,26 @@ def build_ring(P: LatticePolytope, c: int, dmax: int) -> GradedSectionRing:
                 f"|bases[{d}]| = {len(b)} but Ehrhart predicts {h(c * d)}"
             )
     index = tuple({p: k for k, p in enumerate(b)} for b in bases)
+    M = _radix(bases, dmax)
+    codes = tuple(
+        tuple(sum(x * M**k for k, x in enumerate(p)) for p in b) for b in bases
+    )
+    for d, cs in enumerate(codes):
+        if len(set(cs)) != len(cs):
+            raise ConsistencyError(f"two points of bases[{d}] share a code (radix {M})")
+    code_index = tuple({u: k for k, u in enumerate(cs)} for cs in codes)
     r = integer_root_count(h).r
     reg = h.degree + 1 - (r + c) // c
     return GradedSectionRing(
-        polytope=P, c=c, dmax=dmax, bases=bases, reg=reg, index=index
+        polytope=P, c=c, dmax=dmax, bases=bases, reg=reg, index=index,
+        codes=codes, code_index=code_index,
     )
+
+
+def _radix(bases, dmax: int) -> int:
+    """M = 2 * (dim V + dmax) * A + 1, A the largest |coordinate| in bases[dmax]."""
+    A = max((abs(x) for p in bases[dmax] for x in p), default=0)
+    return 2 * (len(bases[1]) + dmax) * A + 1
 
 
 @dataclass(frozen=True)
@@ -97,47 +133,76 @@ class NpVerdict:
     PROVEN = "PROVEN"
 
 
-# element of wedge^q V (x) R_d: (S, r) with S a sorted tuple of indices into
-# bases[1] and r an index into bases[d]
+# element of wedge^q V (x) R_d: the int k * |R_d| + r, with k the position of
+# the sorted index tuple S in combinations(range(dim V), q) and r an index into
+# bases[d]; its multidegree is sum_{s in S} bases[1][s] + bases[d][r], keyed by
+# its code sum_{s in S} codes[1][s] + codes[d][r], injective by the radix bound
+
+def _wedge(ring: GradedSectionRing, q: int):
+    """(codes, faces) for wedge^q V, memoized on the ring.
+
+    codes[k] is the code of sum_{s in S} bases[1][s] for the k-th q-subset S;
+    faces[k] lists (sign, s, position of S minus s among the (q-1)-subsets)
+    for each s in S, with the sign (-1)^t of its place t in S.
+    """
+    table = ring.wedges.get(q)
+    if table is None:
+        n = ring.dim_V
+        gen_codes = ring.codes[1]
+        smaller = itertools.combinations(range(n), max(q - 1, 0))
+        position = {S: k for k, S in enumerate(smaller)}
+        codes, faces = [], []
+        for S in itertools.combinations(range(n), q):
+            codes.append(sum(gen_codes[s] for s in S))
+            faces.append(tuple(
+                (-1 if t % 2 else 1, s, position[S[:t] + S[t + 1:]])
+                for t, s in enumerate(S)
+            ))
+        table = ring.wedges[q] = (codes, faces)
+    return table
+
 
 def _level_blocks(ring: GradedSectionRing, q: int, d: int):
-    """Group the basis of wedge^q V (x) R_d by lattice multidegree."""
-    blocks: Dict[LatticePoint, List[Tuple[Tuple[int, ...], int]]] = {}
+    """Group the basis of wedge^q V (x) R_d by the code of its multidegree."""
+    blocks: Dict[int, List[int]] = {}
     if q < 0 or d < 0 or q > ring.dim_V or d > ring.dmax:
         return blocks
-    gens = ring.bases[1]
-    level = ring.bases[d]
-    zero = (0,) * ring.polytope.ambient_dim
-    for S in itertools.combinations(range(len(gens)), q):
-        ssum = zero
-        for s in S:
-            ssum = tuple(a + b for a, b in zip(ssum, gens[s]))
-        for r_idx, pt in enumerate(level):
-            u = tuple(a + b for a, b in zip(ssum, pt))
-            blocks.setdefault(u, []).append((S, r_idx))
+    level = ring.codes[d]
+    e = 0  # = k * len(level) + r
+    for s_code in _wedge(ring, q)[0]:
+        for p_code in level:
+            u = s_code + p_code
+            block = blocks.get(u)
+            if block is None:
+                blocks[u] = [e]
+            else:
+                block.append(e)
+            e += 1
     return blocks
 
 
-def _differential_columns(ring, elements, d_source, target_pos):
-    """Sparse columns of the Koszul differential on the given source elements.
+def _differential_columns(ring, elements, q, d_source, target_pos):
+    """Sparse columns of the Koszul differential on source elements of
+    wedge^q V (x) R_{d_source}.
 
-    target_pos maps a target element (S', r'_idx at degree d_source+1) to its
-    row index.  Sign convention: d(e_{s1}^...^e_{sq} (x) r) =
+    target_pos maps a target element (an int of wedge^{q-1} V (x)
+    R_{d_source+1}) to its row index.  Sign convention: d(e_{s1}^...^e_{sq} (x) r) =
     sum_k (-1)^(k+1) e_{s1}^..^{no s_k}^..^e_{sq} (x) x_{s_k} r  with s1<...<sq.
     """
-    gens = ring.bases[1]
-    src_pts = ring.bases[d_source]
-    tgt_index = ring.index[d_source + 1]
+    faces = _wedge(ring, q)[1]
+    gen_codes = ring.codes[1]
+    src_codes = ring.codes[d_source]
+    tgt_index = ring.code_index[d_source + 1]
+    n_src = len(src_codes)
+    n_tgt = len(tgt_index)
     cols = []
-    for S, r_idx in elements:
-        pt = src_pts[r_idx]
-        col: Dict[int, int] = {}
-        for k, s in enumerate(S):
-            sign = 1 if k % 2 == 0 else -1
-            prod = tuple(a + b for a, b in zip(pt, gens[s]))
-            tgt = (S[:k] + S[k + 1 :], tgt_index[prod])
-            row = target_pos[tgt]
-            col[row] = col.get(row, 0) + sign
+    for e in elements:
+        k, r = divmod(e, n_src)
+        p_code = src_codes[r]
+        # the faces S minus s of one S are distinct, so no row repeats
+        col = {}
+        for sign, s, k2 in faces[k]:
+            col[target_pos[k2 * n_tgt + tgt_index[p_code + gen_codes[s]]]] = sign
         cols.append(col)
     return cols
 
@@ -166,7 +231,7 @@ def koszul_betti(
 ) -> int:
     """dim Tor_i(R,k)_j; zero without computation above the regularity."""
     if i < 0 or j < 0:
-        raise ValueError("i, j must be nonnegative")
+        raise DegenerateInput("i, j must be nonnegative")
     if i > ring.dim_V or j < i:
         return 0
     _check_window(ring, i, j)
@@ -185,21 +250,21 @@ def _strand_betti(ring: GradedSectionRing, i: int, j: int, policy: RankPolicy) -
         n_mid = len(mid_elts)
         if i >= 1:
             tgt_pos = {e: k for k, e in enumerate(tgt.get(u, []))}
-            out_cols = _differential_columns(ring, mid_elts, j - i, tgt_pos)
+            out_cols = _differential_columns(ring, mid_elts, i, j - i, tgt_pos)
             rank_out = rank(_dense(out_cols, len(tgt_pos)), policy)
         else:
             rank_out = 0
         src_elts = src.get(u, [])
         if src_elts:
             mid_pos = {e: k for k, e in enumerate(mid_elts)}
-            in_cols = _differential_columns(ring, src_elts, j - i - 1, mid_pos)
+            in_cols = _differential_columns(ring, src_elts, i + 1, j - i - 1, mid_pos)
             rank_in = rank(_dense(in_cols, n_mid), policy)
         else:
             rank_in = 0
         b = n_mid - rank_out - rank_in
         if b < 0:
             raise ConsistencyError(
-                f"negative Betti block at (i={i}, j={j}, u={u}): "
+                f"negative Betti block at (i={i}, j={j}, multidegree code {u}): "
                 f"{n_mid} - {rank_out} - {rank_in}"
             )
         total += b
@@ -218,14 +283,16 @@ def compose_is_zero(ring: GradedSectionRing, i: int, j: int) -> bool:
         mid_elts = mid.get(u, [])
         mid_pos = {e: k for k, e in enumerate(mid_elts)}
         tgt_pos = {e: k for k, e in enumerate(tgt.get(u, []))}
-        in_cols = _differential_columns(ring, src_elts, j - i - 1, mid_pos)
-        out_cols = _differential_columns(ring, mid_elts, j - i, tgt_pos)
+        in_cols = _differential_columns(ring, src_elts, i + 1, j - i - 1, mid_pos)
+        out_cols = _differential_columns(ring, mid_elts, i, j - i, tgt_pos)
+        # one accumulator per block: it is all zeros again after every
+        # column that passes, and the first column that fails ends the check
+        acc = [0] * len(tgt_pos)
         for col in in_cols:
-            acc: Dict[int, int] = {}
             for mid_row, v in col.items():
                 for tgt_row, w in out_cols[mid_row].items():
-                    acc[tgt_row] = acc.get(tgt_row, 0) + v * w
-            if any(acc.values()):
+                    acc[tgt_row] += v * w
+            if any(acc):
                 return False
     return True
 

@@ -162,7 +162,7 @@ def _box_walk(P: LatticePolytope, d: int, strict: bool) -> List[LatticePoint]:
 def lattice_points(P: LatticePolytope, d: int) -> List[LatticePoint]:
     """All lattice points of the dilation dP, sorted lexicographically."""
     if d < 0:
-        raise ValueError("dilation must be nonnegative")
+        raise DegenerateInput("dilation must be nonnegative")
     if P.dim == 0:
         return [()]
     return _box_walk(P, d, strict=False)
@@ -191,7 +191,7 @@ def contains(P: LatticePolytope, d: int, x: LatticePoint) -> bool:
 def dilate(P: LatticePolytope, k: int) -> LatticePolytope:
     """The polytope kP (vertices scaled by k)."""
     if k < 1:
-        raise ValueError("dilation factor must be >= 1")
+        raise DegenerateInput("dilation factor must be >= 1")
     if P.dim == 0:
         return P
     return LatticePolytope.from_points(

@@ -43,7 +43,7 @@ def load_polytope(path: str) -> LatticePolytope:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON or undecodable text
             raise DegenerateInput(f"invalid JSON in {path}: {exc}") from exc
     return polytope_from_json(data)
 

@@ -128,6 +128,32 @@ class TestExitCodes:
         result = runner.invoke(cli, ["np", CUBIC, "--pmax", "9"])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("args", [
+        ["betti", CUBIC, "--c", "0"],
+        ["count", CUBIC, "--d", "-1"],
+        ["cohomology", CUBIC, "--d", "x"],
+        ["corpus", "--dim", "5"],
+    ])
+    def test_bad_values(self, runner, args):
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+
+    def test_undecodable_file(self, runner, tmp_path):
+        bad = tmp_path / "binary.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        result = runner.invoke(cli, ["ehrhart", str(bad)])
+        assert result.exit_code == 2
+
+    def test_internal_value_error(self, runner, monkeypatch):
+        def fault(P, d):
+            raise ValueError("target not in lattice")
+
+        monkeypatch.setattr(cli_module, "lattice_points", fault)
+        result = runner.invoke(cli, ["count", CUBIC])
+        assert result.exit_code == 4
+        assert "target not in lattice" in result.output
+
 
 class TestDeterminism:
     def test_corpus_reproducible(self, runner, tmp_path):
@@ -177,6 +203,25 @@ class TestDeterminism:
         with pytest.raises(OSError):
             cli_module._cache_store(path, '{"ok": 1}')
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args", [
+        ["np", CUBIC, "--pmax", "1", "--max-slope", "3"],
+        ["betti", SQUARE, "--max-i", "2", "--max-slope", "3", "--format", "text"],
+    ])
+    @pytest.mark.parametrize("garbage", [
+        lambda entry: entry[: len(entry) // 2],
+        lambda entry: b"",
+        lambda entry: b"\xff\xfe" + entry,
+    ], ids=["truncated", "empty", "not-utf8"])
+    def test_corrupt_entry_is_recomputed(self, runner, tmp_path, args, garbage):
+        args = args + ["--cache-dir", str(tmp_path)]
+        cold = run_ok(runner, args).stdout
+        (entry,) = tmp_path.iterdir()
+        good = entry.read_bytes()
+        entry.write_bytes(garbage(good))
+        assert run_ok(runner, args).stdout == cold
+        assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+        assert entry.read_bytes() == good
 
     def test_threads_do_not_change_output(self, runner):
         base = run_ok(runner, ["betti", SIMPLEX, "--max-i", "2", "--max-slope", "4"]).stdout

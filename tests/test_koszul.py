@@ -3,6 +3,7 @@ from math import ceil
 import pytest
 
 from polysyz import (
+    ConsistencyError,
     LatticePolytope,
     RankPolicy,
     WindowExceeded,
@@ -14,6 +15,7 @@ from polysyz import (
     lattice_points,
     np_level,
 )
+from polysyz import koszul
 from polysyz.ehrhart import r_of_polytope
 from polysyz.koszul import _strand_betti
 
@@ -40,6 +42,53 @@ class TestBuildRing:
                 for v in ring.bases[1]:
                     s = tuple(x + y for x, y in zip(u, v))
                     assert s in ring.index[a + 1]
+
+
+class TestCodes:
+    def test_codes_are_additive(self, simplex112):
+        ring = build_ring(simplex112, 2, 3)
+        for a in range(3):
+            for r, u in enumerate(ring.bases[a]):
+                for s, v in enumerate(ring.bases[1]):
+                    w = tuple(x + y for x, y in zip(u, v))
+                    k = ring.code_index[a + 1][ring.codes[a][r] + ring.codes[1][s]]
+                    assert ring.bases[a + 1][k] == w
+
+    def test_radix_covers_every_multidegree(self, cubic_triangle, simplex112, corpus3d):
+        # a multidegree is at most dim V generators plus one point of bases[d],
+        # d <= dmax; two of them differ by less than M in every coordinate
+        far = cubic_triangle.translate((-(10**6), 10**6))
+        for P in [cubic_triangle, simplex112, far] + corpus3d[:5]:
+            ring = build_ring(P, 2, 3)
+            reach = ring.dim_V * max(abs(x) for p in ring.bases[1] for x in p) + max(
+                abs(x) for p in ring.bases[ring.dmax] for x in p
+            )
+            assert koszul._radix(ring.bases, ring.dmax) > 2 * reach
+
+    def test_collision_is_refused(self, cubic_triangle, monkeypatch):
+        # radix 1 codes a point by its coordinate sum: (0, 1) and (1, 0) collide
+        monkeypatch.setattr(koszul, "_radix", lambda bases, dmax: 1)
+        with pytest.raises(ConsistencyError, match="share a code"):
+            build_ring(cubic_triangle, 1, 2)
+
+    @pytest.mark.parametrize("shift", [(10**6, -(10**6)), (-(10**6), 10**6 + 3)])
+    def test_translated_cubic(self, cubic_triangle, shift):
+        far = cubic_triangle.translate(shift)
+        assert min(min(v) for v in far.vertices) < 0
+        near = betti_table(build_ring(cubic_triangle, 2, 4), 2, 3)
+        assert betti_table(build_ring(far, 2, 4), 2, 3).entries == near.entries
+
+    def test_translated_simplex(self, simplex112):
+        far = simplex112.translate((-(10**6), 10**6, -(10**6) - 7))
+        near = betti_table(build_ring(simplex112, 2, 5), 2, 4)
+        assert len(near.entries) > 1
+        assert betti_table(build_ring(far, 2, 5), 2, 4).entries == near.entries
+
+    def test_translated_against_dense_oracle(self, cubic_triangle):
+        ring = build_ring(cubic_triangle.translate((10**6, -(10**6))), 1, 4)
+        for i in range(3):
+            for j in range(i, i + 4):
+                assert koszul_betti(ring, i, j) == dense_betti(ring, i, j)
 
 
 class TestRegularity:
@@ -151,6 +200,25 @@ class TestComplexIntegrity:
             for i in range(1, 4):
                 for j in range(i, i + 4):
                     assert compose_is_zero(ring, i, j)
+
+    @pytest.mark.parametrize("j", [2, 3])
+    def test_wrong_sign_is_caught(self, cubic_triangle, monkeypatch, j):
+        ring = build_ring(cubic_triangle, 1, 4)
+        assert compose_is_zero(ring, 1, j)
+        original = koszul._differential_columns
+        flipped = []
+
+        def one_wrong_sign(*args):
+            cols = original(*args)
+            if not flipped:
+                row, v = next(iter(cols[0].items()))
+                cols[0][row] = -v
+                flipped.append(row)
+            return cols
+
+        monkeypatch.setattr(koszul, "_differential_columns", one_wrong_sign)
+        assert compose_is_zero(ring, 1, j) is False
+        assert len(flipped) == 1
 
     def test_checksum(self, cubic_triangle, unit_square, unit_triangle):
         for P in (cubic_triangle, unit_square, unit_triangle):
