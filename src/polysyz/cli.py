@@ -55,6 +55,8 @@ WINDOW_LIMIT = 8
 
 def _check_limits(**window: int) -> None:
     for name, value in window.items():
+        if value < 0:
+            raise DegenerateInput(f"{name}={value} must be nonnegative")
         if value > WINDOW_LIMIT:
             raise WindowExceeded(
                 f"{name}={value} exceeds the CLI window limit {WINDOW_LIMIT}"

@@ -8,8 +8,8 @@ with V spanned by the degree-one basis.  Because the ring is multigraded by
 the lattice itself, every strand splits into independent blocks indexed by
 the lattice-point multidegree (the sum of the wedge factors and the ring
 element); blocks stay small even when the ambient strand has dimension in
-the tens of thousands, and each block rank is computed exactly or modulo the
-rank policy's prime, one fixed prime (2^31 - 1) for every caller.
+the tens of thousands, and each block rank is computed exactly over the
+integers from the sparse columns of its differential (see `ranks`).
 
 The section ring R of cP is the Ehrhart ring of cP: a normal affine semigroup
 ring, hence Cohen-Macaulay (Hochster 1972), so its Castelnuovo-Mumford
@@ -245,20 +245,23 @@ def _strand_betti(ring: GradedSectionRing, i: int, j: int, policy: RankPolicy) -
     mid = _level_blocks(ring, i, j - i)
     src = _level_blocks(ring, i + 1, j - i - 1)
     tgt = _level_blocks(ring, i - 1, j - i + 1) if i >= 1 else {}
+    # the sparse columns go straight to `rank`; certify hands it dense rows
+    # for Bareiss instead
+    certify = policy.certify
     total = 0
     for u, mid_elts in mid.items():
         n_mid = len(mid_elts)
         if i >= 1:
             tgt_pos = {e: k for k, e in enumerate(tgt.get(u, []))}
             out_cols = _differential_columns(ring, mid_elts, i, j - i, tgt_pos)
-            rank_out = rank(_dense(out_cols, len(tgt_pos)), policy)
+            rank_out = rank(_dense(out_cols, len(tgt_pos)) if certify else out_cols, policy)
         else:
             rank_out = 0
         src_elts = src.get(u, [])
         if src_elts:
             mid_pos = {e: k for k, e in enumerate(mid_elts)}
             in_cols = _differential_columns(ring, src_elts, i + 1, j - i - 1, mid_pos)
-            rank_in = rank(_dense(in_cols, n_mid), policy)
+            rank_in = rank(_dense(in_cols, n_mid) if certify else in_cols, policy)
         else:
             rank_in = 0
         b = n_mid - rank_out - rank_in
@@ -309,6 +312,8 @@ def betti_table(
     `threads` is accepted for compatibility and ignored: the strands are
     computed one after another.
     """
+    if max_i < 0 or max_slope < 0:
+        raise DegenerateInput(f"need max_i, max_slope >= 0, got {max_i}, {max_slope}")
     if max_slope + 1 > ring.dmax:
         raise WindowExceeded(
             f"window slope {max_slope} needs dmax >= {max_slope + 1}, "
@@ -336,6 +341,8 @@ def np_level(
     A FAILS certificate is the lexicographically first offending (i, j);
     failures are monotone in p by construction.
     """
+    if pmax < 0 or max_slope < 0:
+        raise DegenerateInput(f"need pmax, max_slope >= 0, got {pmax}, {max_slope}")
     if table is None:
         table = betti_table(ring, pmax, max_slope, policy=policy)
     base_cert = None

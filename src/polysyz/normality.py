@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from .errors import DegenerateInput
 from .lattice import LatticePoint, LatticePolytope, contains, lattice_points
 
 
@@ -25,6 +26,8 @@ def is_normal(P: LatticePolytope, mmax: Optional[int] = None) -> NormalityReport
     n = P.dim
     if mmax is None:
         mmax = max(n - 1, 2)
+    elif mmax < 0:
+        raise DegenerateInput(f"need mmax >= 0, got {mmax}")
     gens = lattice_points(P, 1)
     sums = set(gens)
     for m in range(2, mmax + 1):

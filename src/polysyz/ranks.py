@@ -1,35 +1,38 @@
-"""Rank computation policy: exact fraction-free vs. modular fast path.
+"""Exact ranks of integer matrices given by their sparse columns.
 
-Small matrices are handled exactly (Bareiss over Python ints).  Larger ones
-are reduced over GF(p) for one fixed prime, p = 2^31 - 1, the same for every
-caller and every input; ranks over Q and mod p agree for all but finitely
-many p, so a ~31-bit prime makes a wrong rank vanishingly unlikely.  Passing
-certify=True forces exact arithmetic everywhere.
+`rank` reduces the columns over the integers, one after another, against the
+pivot columns found so far, each keyed by its leading (largest) row, until a
+column vanishes or becomes a new pivot; the rank is the number of pivots
+(the "standard algorithm" of persistent homology, Zomorodian-Carlsson 2005,
+with no modulus).  Against a pivot whose leading entry p is +-1 the column
+loses f * p times the pivot; against any other p it becomes p * column -
+f * pivot, divided by the gcd of its entries: a nonzero rational multiple
+of the column plus a combination of pivots, so the span over Q, and with it
+the rank, is unchanged.  Python ints never overflow, so every rank is exact.
+Koszul blocks are boundary maps of simplicial complexes (Bruns-Herzog 1997):
+their entries are +-1 and almost every leading entry is a unit.
 
-The modular kernel is sparse row reduction in pure Python: each row becomes
-a {column: value mod p} dict without zeros and is reduced against the pivot
-rows found so far, keyed by their leading column, until it vanishes or
-becomes a new pivot; the rank is the number of pivots (the "standard
-algorithm" of persistent homology, Zomorodian-Carlsson 2005).
+Passing certify=True ranks the dense rows of the same matrix by Bareiss
+elimination instead (`intlinalg.exact_rank`), an independent exact reference.
+
+`rank_mod_p` and `BACKEND` have no engine caller: the benchmark's tracer
+(perfbench/tracing.py) pins both names, and they go when it stops doing so.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from math import gcd
+from typing import Dict, Tuple
 
 from .intlinalg import exact_rank
 
 BACKEND = "python"
 
-DEFAULT_EXACT_THRESHOLD = 48
-
 
 @dataclass(frozen=True)
 class RankPolicy:
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD
-    certify: bool = False
-    prime: int = 2**31 - 1  # the one modulus, for every caller
+    certify: bool = False  # Bareiss on dense rows instead of the sparse kernel
 
 
 def rank_mod_p(rows, p: int) -> int:
@@ -56,14 +59,39 @@ def rank_mod_p(rows, p: int) -> int:
     return len(pivots)
 
 
-def rank(rows, policy: RankPolicy = RankPolicy()) -> int:
-    """Rank of an integer matrix (list of rows) under the given policy."""
-    nrows = len(rows)
-    if nrows == 0:
-        return 0
-    ncols = len(rows[0])
-    if ncols == 0:
-        return 0
-    if policy.certify or max(nrows, ncols) <= policy.exact_threshold:
-        return exact_rank(rows)
-    return rank_mod_p(rows, policy.prime)
+def rank(matrix, policy: RankPolicy = RankPolicy()) -> int:
+    """Rank over Q of an integer matrix.
+
+    `matrix` is a list of sparse columns {row: value}, or, under
+    policy.certify, the same matrix as a list of dense rows.
+    """
+    if policy.certify:
+        return exact_rank(matrix)
+    # pivot columns keyed by their leading row: (leading entry, the rest)
+    pivots: Dict[int, Tuple[int, Dict[int, int]]] = {}
+    for col in matrix:
+        c = {i: v for i, v in col.items() if v}
+        while c:
+            lead = max(c)
+            f = c.pop(lead)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = (f, c)
+                break
+            p, rest = pivot
+            unit = p == 1 or p == -1
+            if unit:
+                f *= p
+            else:
+                c = {i: p * v for i, v in c.items()}
+            for i, v in rest.items():
+                w = c.get(i, 0) - f * v
+                if w:
+                    c[i] = w
+                else:
+                    del c[i]
+            if not unit and c:
+                g = gcd(*c.values())
+                if g > 1:
+                    c = {i: v // g for i, v in c.items()}
+    return len(pivots)

@@ -139,6 +139,19 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert result.output.startswith("error: ")
 
+    @pytest.mark.parametrize("args", [
+        ["normality", TRIANGLE, "--mmax", "-1"],
+        ["np", TRIANGLE, "--pmax", "-1"],
+        ["betti", TRIANGLE, "--max-i", "-1"],
+        ["betti", TRIANGLE, "--max-slope", "-1"],
+    ])
+    def test_negative_bounds(self, runner, monkeypatch, args):
+        # refused before the cache lookup, so a stored entry is never echoed
+        monkeypatch.setattr(cli_module, "_cache_lookup", lambda cache_dir, key: ("{}", None))
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ") and "-1" in result.output
+
     def test_undecodable_file(self, runner, tmp_path):
         bad = tmp_path / "binary.json"
         bad.write_bytes(b"\xff\xfe{}")

@@ -4,6 +4,7 @@ import pytest
 
 from polysyz import (
     ConsistencyError,
+    DegenerateInput,
     LatticePolytope,
     RankPolicy,
     WindowExceeded,
@@ -17,6 +18,7 @@ from polysyz import (
 )
 from polysyz import koszul
 from polysyz.ehrhart import r_of_polytope
+from polysyz.intlinalg import exact_rank
 from polysyz.koszul import _strand_betti
 
 from .oracles import dense_betti
@@ -185,13 +187,32 @@ class TestKoszulBetti:
         with pytest.raises(WindowExceeded):
             betti_table(ring, 2, 4)
 
-    def test_modular_matches_exact(self, simplex112):
-        # exact_threshold=0 sends every block through the GF(p) kernel
+    def test_every_block_rank_matches_bareiss(self, simplex112, monkeypatch):
+        # each block the sparse kernel ranks is ranked again by Bareiss on
+        # its dense copy; rows no column touches do not change the rank
         ring = build_ring(simplex112, 2, 5)
-        exact = betti_table(ring, 3, 3, policy=RankPolicy(certify=True))
-        assert len(exact.entries) == 6
-        for fast in (RankPolicy(exact_threshold=4), RankPolicy(exact_threshold=0)):
-            assert betti_table(ring, 3, 3, policy=fast).entries == exact.entries
+        sparse_rank = koszul.rank
+        checked = []
+
+        def cross_checked(cols, policy=RankPolicy()):
+            r = sparse_rank(cols, policy)
+            nrows = 1 + max((i for col in cols for i in col), default=-1)
+            assert r == exact_rank(koszul._dense(cols, nrows))
+            checked.append(r)
+            return r
+
+        monkeypatch.setattr(koszul, "rank", cross_checked)
+        table = betti_table(ring, 3, 3)
+        assert len(table.entries) == 6
+        assert len(checked) > 100 and any(checked)
+
+    def test_negative_window_rejected(self, cubic_triangle):
+        ring = build_ring(cubic_triangle, 1, 4)
+        for max_i, max_slope in ((-1, 3), (2, -1)):
+            with pytest.raises(DegenerateInput):
+                betti_table(ring, max_i, max_slope)
+            with pytest.raises(DegenerateInput):
+                np_level(ring, max_i, max_slope)
 
 
 class TestComplexIntegrity:

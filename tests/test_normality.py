@@ -3,6 +3,7 @@ import random
 import pytest
 
 from polysyz import (
+    DegenerateInput,
     LatticePolytope,
     contains,
     decompose,
@@ -32,6 +33,12 @@ def test_simplex112_witness(simplex112):
     assert contains(simplex112, 2, (1, 1, 1))
     assert decompose(simplex112, (1, 1, 1), 2) is None
     assert brute_decompositions(lattice_points(simplex112, 1), (1, 1, 1), 2) == []
+
+
+def test_negative_bound_rejected(unit_triangle):
+    with pytest.raises(DegenerateInput):
+        is_normal(unit_triangle, -1)
+    assert is_normal(unit_triangle, 0).checked_up_to == 0
 
 
 def test_doubled_simplex112_normal(simplex112):

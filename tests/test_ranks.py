@@ -7,9 +7,9 @@ import pytest
 
 import polysyz
 from polysyz.intlinalg import exact_rank
-from polysyz.ranks import RankPolicy, rank_mod_p
+from polysyz.ranks import RankPolicy, rank, rank_mod_p
 
-P = RankPolicy().prime
+P = 2**31 - 1
 
 
 def _random_matrix(rng, nrows, ncols, density):
@@ -48,6 +48,69 @@ def test_mod_p_edge_cases():
     assert rank_mod_p([[0, 0], [0, 0]], P) == 0
     assert rank_mod_p([[-P, 2 * P], [1, 0]], P) == 1
     assert rank_mod_p([[2, 4], [1, 2]], 7) == 1
+
+
+def _columns(rows):
+    """Sparse columns {row: value} of a dense matrix, zeros left out."""
+    ncols = len(rows[0]) if rows else 0
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
+
+
+def _check_rank(rows):
+    r = rank(_columns(rows))
+    assert r == exact_rank(rows)
+    assert rank(rows, RankPolicy(certify=True)) == r
+
+
+@pytest.mark.parametrize("nrows, ncols", [(1, 1), (1, 7), (7, 1), (5, 5), (12, 30), (30, 12), (40, 40)])
+def test_rank_matches_bareiss_on_signed_units(nrows, ncols):
+    # the entries of a Koszul block: 0 and +-1
+    rng = random.Random(2000 * nrows + ncols)
+    for density in (0.1, 0.3, 0.7):
+        for _ in range(5):
+            _check_rank([
+                [rng.choice((-1, 1)) if rng.random() < density else 0 for _ in range(ncols)]
+                for _ in range(nrows)
+            ])
+
+
+@pytest.mark.parametrize("nrows, ncols", [(1, 1), (1, 7), (7, 1), (5, 5), (12, 30), (30, 12), (40, 40)])
+def test_rank_matches_bareiss_on_integers(nrows, ncols):
+    rng = random.Random(3000 * nrows + ncols)
+    for density in (0.1, 0.4, 1.0):
+        for _ in range(5):
+            rows = _random_matrix(rng, nrows, ncols, density)
+            _check_rank(rows)
+            # every entry, and so every leading entry, is a non-unit
+            _check_rank([[6 * v for v in row] for row in rows])
+
+
+def test_rank_with_no_unit_pivot():
+    rng = random.Random(11)
+    for k in range(1, 6):
+        a = [[rng.choice((2, 3, -4, 0)) for _ in range(k)] for _ in range(15)]
+        b = [[rng.choice((2, -3, 5, 0)) for _ in range(15)] for _ in range(k)]
+        _check_rank([[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a])
+    _check_rank([[2, 3], [3, 2]])
+    _check_rank([[2, 4], [3, 6]])
+
+
+def test_rank_edge_cases():
+    assert rank([]) == 0
+    assert rank([{}, {}, {}]) == 0
+    _check_rank([[0] * 4 for _ in range(3)])
+    # duplicate and empty columns
+    rng = random.Random(5)
+    for _ in range(20):
+        rows = _random_matrix(rng, 8, 6, 0.5)
+        rows = [row + row[:3] + [0] for row in rows]
+        _check_rank(rows)
+    # explicit zero entries in a sparse column are ignored
+    assert rank([{0: 0, 1: 1}, {0: 0, 1: 2}]) == 1
+    # the input columns are left as they were
+    cols = [{0: 1, 1: 1}, {0: 1, 1: 2}, {1: 1}]
+    rank(cols)
+    assert cols == [{0: 1, 1: 1}, {0: 1, 1: 2}, {1: 1}]
 
 
 def test_import_loads_no_numpy_or_compiled_kernel():
