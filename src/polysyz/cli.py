@@ -220,11 +220,10 @@ def _echo_cached(cache_dir, cmd, P, window, compute):
 @click.option("--max-i", type=int, default=4, show_default=True)
 @click.option("--max-slope", type=int, default=None, help="Defaults to dim P + 2.")
 @click.option("--certify", is_flag=True, help="Exact arithmetic in every rank.")
-@click.option("--threads", type=int, default=1, help="Accepted for compatibility; ignored.")
 @click.option("--cache-dir", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
 @_guard
-def betti(polytope, c, max_i, max_slope, certify, threads, cache_dir, fmt):
+def betti(polytope, c, max_i, max_slope, certify, cache_dir, fmt):
     """Graded Betti numbers of the section ring over the window."""
     P = load_polytope(polytope)
     if max_slope is None:
@@ -247,10 +246,9 @@ def betti(polytope, c, max_i, max_slope, certify, threads, cache_dir, fmt):
 @click.option("--pmax", type=int, default=2, show_default=True)
 @click.option("--max-slope", type=int, default=None, help="Defaults to dim P + 2.")
 @click.option("--certify", is_flag=True)
-@click.option("--threads", type=int, default=1, help="Accepted for compatibility; ignored.")
 @click.option("--cache-dir", type=click.Path(), default=None)
 @_guard
-def np_cmd(polytope, c, pmax, max_slope, certify, threads, cache_dir):
+def np_cmd(polytope, c, pmax, max_slope, certify, cache_dir):
     """(N_p) verdicts for p = 0..pmax."""
     P = load_polytope(polytope)
     if max_slope is None:
@@ -439,11 +437,9 @@ def _report_rows(certify: bool):
 
 
 @cli.command()
-@click.option("--examples", type=click.Choice(["paper"]), default="paper", show_default=True)
 @click.option("--certify", is_flag=True)
-@click.option("--threads", type=int, default=1, help="Accepted for compatibility; ignored.")
 @_guard
-def report(examples, certify, threads):
+def report(certify):
     """Markdown regression report for the worked example claims."""
     rows = _report_rows(certify)
     lines = [

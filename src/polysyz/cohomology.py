@@ -8,10 +8,9 @@ spaces via the Kunneth rule.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import DegenerateInput
 from .lattice import LatticePolytope, interior_lattice_points, lattice_points

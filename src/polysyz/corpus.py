@@ -32,10 +32,7 @@ def generate_corpus(
             tuple(rng.randint(0, coord_bound) for _ in range(dim))
             for _ in range(npts)
         ]
-        try:
-            P = normalize_full_dim(pts)
-        except Exception:
-            continue
+        P = normalize_full_dim(pts)
         if P.dim != dim:
             continue
         key = P.vertices

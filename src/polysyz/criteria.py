@@ -9,7 +9,7 @@ the property fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence
 
 from .ehrhart import ehrhart_polynomial, integer_root_count, r_of_polytope
 from .errors import DegenerateInput

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Tuple
 
 from .errors import ConsistencyError, DegenerateInput
 from .lattice import LatticePolytope, interior_lattice_points, lattice_points

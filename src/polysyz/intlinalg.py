@@ -7,14 +7,6 @@ geometry layer never touches floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-
-
-def gcd_list(values) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g
 
 
 def exact_rank(rows) -> int:

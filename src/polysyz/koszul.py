@@ -305,12 +305,10 @@ def betti_table(
     max_i: int,
     max_slope: int,
     policy: RankPolicy = RankPolicy(),
-    threads: int = 1,
 ) -> BettiTable:
     """All beta_{i,j} for 0 <= i <= max_i, i <= j <= i + max_slope.
 
-    `threads` is accepted for compatibility and ignored: the strands are
-    computed one after another.
+    `policy` picks how each block is ranked; every choice is exact.
     """
     if max_i < 0 or max_slope < 0:
         raise DegenerateInput(f"need max_i, max_slope >= 0, got {max_i}, {max_slope}")
@@ -332,34 +330,28 @@ def np_level(
     ring: GradedSectionRing,
     pmax: int,
     max_slope: int,
-    policy: RankPolicy = RankPolicy(),
-    threads: int = 1,
     table: Optional[BettiTable] = None,
 ) -> List[NpVerdict]:
     """Verdicts for N_0 .. N_pmax from the Betti window.
 
-    A FAILS certificate is the lexicographically first offending (i, j);
-    failures are monotone in p by construction.
+    (N_p) asks beta_{0,j} = 0 for j != 0 and beta_{i,j} = 0 for 1 <= i <= p
+    and j != i + 1.  A FAILS certificate is the lexicographically first
+    offending (i, j, beta_{i,j}), kept for every later p, so failures are
+    monotone in p.  Without a `table` the window is computed with the
+    default policy; pass a certified table for certified ranks.
     """
     if pmax < 0 or max_slope < 0:
         raise DegenerateInput(f"need pmax, max_slope >= 0, got {pmax}, {max_slope}")
     if table is None:
-        table = betti_table(ring, pmax, max_slope, policy=policy)
-    base_cert = None
-    for j in range(1, max_slope + 1):
-        b = table.get(0, j)
-        if b:
-            base_cert = (0, j, b)
-            break
+        table = betti_table(ring, pmax, max_slope)
     verdicts = []
-    cert = base_cert
+    cert = None
     for p in range(pmax + 1):
-        if cert is None and p >= 1:
+        if cert is None:
+            allowed = p + 1 if p else 0
             for j in range(p, p + max_slope + 1):
-                if j == p + 1:
-                    continue
                 b = table.get(p, j)
-                if b:
+                if b and j != allowed:
                     cert = (p, j, b)
                     break
         if cert is not None:

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import gcd
 from operator import mul
 from typing import Iterable, List, Optional, Tuple
 
 from .errors import DegenerateInput, DimensionMismatch
-from .intlinalg import det, exact_rank, gcd_list, kernel_basis, solve_in_hnf_basis
+from .intlinalg import det, exact_rank, kernel_basis, solve_in_hnf_basis
 
 LatticePoint = Tuple[int, ...]
 
@@ -110,7 +111,7 @@ def convex_hull_facets(points: Iterable[LatticePoint]) -> List[HalfSpace]:
             h = -h
         else:
             continue
-        g = gcd_list(list(normal) + [h])
+        g = gcd(*normal, h)
         key = (tuple(a // g for a in normal), h // g)
         found[key] = HalfSpace(*key)
     return sorted(found.values(), key=lambda f: (f.normal, f.offset))

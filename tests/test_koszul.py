@@ -1,8 +1,10 @@
+import random
 from math import ceil
 
 import pytest
 
 from polysyz import (
+    BettiTable,
     ConsistencyError,
     DegenerateInput,
     LatticePolytope,
@@ -222,16 +224,25 @@ class TestComplexIntegrity:
                 for j in range(i, i + 4):
                     assert compose_is_zero(ring, i, j)
 
-    @pytest.mark.parametrize("j", [2, 3])
-    def test_wrong_sign_is_caught(self, cubic_triangle, monkeypatch, j):
+    # compose_is_zero builds each block's incoming map (call 0), then its
+    # outgoing map (call 1); one sign flipped in either must be caught
+    @pytest.mark.parametrize("j, call", [
+        pytest.param(2, 0, id="2"),
+        pytest.param(3, 0, id="3"),
+        pytest.param(2, 1, id="2-outgoing"),
+        pytest.param(3, 1, id="3-outgoing"),
+    ])
+    def test_wrong_sign_is_caught(self, cubic_triangle, monkeypatch, j, call):
         ring = build_ring(cubic_triangle, 1, 4)
         assert compose_is_zero(ring, 1, j)
         original = koszul._differential_columns
+        calls = []
         flipped = []
 
         def one_wrong_sign(*args):
             cols = original(*args)
-            if not flipped:
+            calls.append(args)
+            if len(calls) == call + 1:
                 row, v = next(iter(cols[0].items()))
                 cols[0][row] = -v
                 flipped.append(row)
@@ -240,6 +251,8 @@ class TestComplexIntegrity:
         monkeypatch.setattr(koszul, "_differential_columns", one_wrong_sign)
         assert compose_is_zero(ring, 1, j) is False
         assert len(flipped) == 1
+        # the source wedge degree q of the flipped map: i + 1 in, i out
+        assert calls[call][2] == 2 - call
 
     def test_checksum(self, cubic_triangle, unit_square, unit_triangle):
         for P in (cubic_triangle, unit_square, unit_triangle):
@@ -251,13 +264,6 @@ class TestComplexIntegrity:
         t1 = betti_table(build_ring(cubic_triangle, 1, 4), 2, 3)
         t2 = betti_table(build_ring(reordered, 1, 4), 2, 3)
         assert t1.entries == t2.entries
-
-    def test_threads_do_not_change_output(self, cubic_triangle):
-        ring = build_ring(cubic_triangle, 1, 4)
-        assert (
-            betti_table(ring, 3, 3).entries
-            == betti_table(ring, 3, 3, threads=4).entries
-        )
 
 
 class TestNpLevel:
@@ -284,3 +290,62 @@ class TestNpLevel:
             if v.status == "FAILS":
                 failed = True
             assert not failed or v.status == "FAILS"
+
+
+def _np_by_definition(table, p):
+    """(N_p) read off the definition: the lexicographically first nonzero
+    beta_{i,j} with i <= p that is not beta_{0,0} or a linear beta_{i,i+1}."""
+    offending = sorted(
+        (i, j) for (i, j), b in table.entries.items()
+        if b and i <= p and (j >= 1 if i == 0 else j != i + 1)
+    )
+    if offending:
+        i, j = offending[0]
+        return ("FAILS", (i, j, table.get(i, j)), None)
+    return ("VERIFIED_UP_TO", None, table.max_slope)
+
+
+def _as_tuple(v):
+    assert v.criterion is None
+    return (v.status, v.certificate, v.bound)
+
+
+class TestCertificateRule:
+    PMAX = 2
+
+    def test_computed_tables(
+        self, unit_triangle, unit_square, cubic_triangle, simplex112, corpus2d
+    ):
+        # the ten corpus2d polytopes with the fewest lattice points keep the
+        # c = 2 windows small
+        small = sorted(corpus2d, key=lambda P: len(lattice_points(P, 1)))[:10]
+        statuses = set()
+        for P in [unit_triangle, unit_square, cubic_triangle, simplex112] + small:
+            for c in (1, 2):
+                ring = build_ring(P, c, P.dim + 3)
+                table = betti_table(ring, self.PMAX, P.dim + 2)
+                verdicts = np_level(ring, self.PMAX, P.dim + 2, table=table)
+                assert [v.p for v in verdicts] == list(range(self.PMAX + 1))
+                for v in verdicts:
+                    assert _as_tuple(v) == _np_by_definition(table, v.p)
+                    statuses.add((v.p, v.status))
+        # both outcomes occur at every p, so no branch goes unchecked
+        assert {s for _, s in statuses} == {"FAILS", "VERIFIED_UP_TO"}
+        assert {p for p, s in statuses if s == "FAILS"} == {0, 1, 2}
+
+    def test_arbitrary_tables(self, unit_triangle):
+        # entries no ring produces, beta_{0,1} != 0 among them, read by the
+        # same rule
+        ring = build_ring(unit_triangle, 1, 4)
+        rng = random.Random(5)
+        for _ in range(300):
+            max_slope = rng.randint(0, 3)
+            entries = {
+                (i, j): rng.randint(1, 3)
+                for i in range(self.PMAX + 1)
+                for j in range(i, i + max_slope + 1)
+                if rng.random() < 0.3
+            }
+            table = BettiTable(entries, self.PMAX, max_slope, ring)
+            for v in np_level(ring, self.PMAX, max_slope, table=table):
+                assert _as_tuple(v) == _np_by_definition(table, v.p)
