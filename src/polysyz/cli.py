@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 2 bad input, 3 window/limit exceeded, 4 internal
 fault (a failed consistency check, or any other error the package raises).
+The group `cli` maps package exceptions onto these codes for every command,
+and every polytope argument is read by one parameter type, `POLYTOPE`, so a
+malformed file exits 2 wherever it is given.
 All payloads are JSON with exact fraction strings; `betti` can also render
 the conventional text table.
 """
@@ -68,26 +71,6 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _guard(fn):
-    """Map package exceptions onto the documented exit codes."""
-    import functools
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except WindowExceeded as exc:
-            _fail(3, str(exc))
-        except (DegenerateInput, DimensionMismatch, FileNotFoundError) as exc:
-            _fail(2, str(exc))
-        except ConsistencyError as exc:
-            _fail(4, str(exc))
-        except ValueError as exc:  # raised inside the package, not by the input
-            _fail(4, f"internal error: {exc}")
-
-    return wrapper
-
-
 def _cache_lookup(cache_dir: Optional[str], key: dict) -> tuple[Optional[str], Optional[Path]]:
     cache_dir = cache_dir or os.environ.get(CACHE_ENV)
     if not cache_dir:
@@ -145,48 +128,73 @@ def _vec(s: str) -> tuple:
         raise DegenerateInput(f"expected a comma-separated integer vector, got {s!r}")
 
 
-@click.group()
+def _needed(polytope):
+    """The polytope of a command that takes a polytope path or --product."""
+    if polytope is None:
+        raise DegenerateInput("need a polytope path or --product")
+    return polytope
+
+
+class _ExitCodes(click.Group):
+    """Maps package exceptions onto the documented exit codes, for every command."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except WindowExceeded as exc:
+            _fail(3, str(exc))
+        except (DegenerateInput, DimensionMismatch, FileNotFoundError) as exc:
+            _fail(2, str(exc))
+        except ConsistencyError as exc:
+            _fail(4, str(exc))
+        except ValueError as exc:  # raised inside the package, not by the input
+            _fail(4, f"internal error: {exc}")
+
+
+class _PolytopePath(click.Path):
+    """An existing path, read as a polytope while the arguments are parsed."""
+
+    def convert(self, value, param, ctx):
+        return load_polytope(super().convert(value, param, ctx))
+
+
+POLYTOPE = _PolytopePath(exists=True)
+
+
+@click.group(cls=_ExitCodes)
 def cli():
     """Exact syzygy toolkit for lattice polytopes."""
 
 
 @cli.command()
-@click.argument("polytope", type=click.Path(exists=True))
+@click.argument("polytope", type=POLYTOPE)
 @click.option("--d", "dilation", type=int, default=1, show_default=True)
-@_guard
 def count(polytope, dilation):
     """Number of lattice points of the dilation dP."""
-    P = load_polytope(polytope)
-    click.echo(dumps({"d": dilation, "count": len(lattice_points(P, dilation))}), nl=False)
+    click.echo(dumps({"d": dilation, "count": len(lattice_points(polytope, dilation))}), nl=False)
 
 
 @cli.command()
-@click.argument("polytope", type=click.Path(exists=True))
-@_guard
+@click.argument("polytope", type=POLYTOPE)
 def ehrhart(polytope):
     """Ehrhart polynomial of the (normalized) polytope."""
-    P = load_polytope(polytope)
-    click.echo(dumps(ehrhart_to_json(ehrhart_polynomial(P))), nl=False)
+    click.echo(dumps(ehrhart_to_json(ehrhart_polynomial(polytope))), nl=False)
 
 
 @cli.command()
-@click.argument("polytope", type=click.Path(exists=True))
-@_guard
+@click.argument("polytope", type=POLYTOPE)
 def roots(polytope):
     """Integer roots of the Ehrhart polynomial and the invariant r."""
-    P = load_polytope(polytope)
-    data = integer_root_count(ehrhart_polynomial(P))
+    data = integer_root_count(ehrhart_polynomial(polytope))
     click.echo(dumps({"r": data.r, "integer_roots": list(data.integer_roots)}), nl=False)
 
 
 @cli.command()
-@click.argument("polytope", type=click.Path(exists=True))
+@click.argument("polytope", type=POLYTOPE)
 @click.option("--mmax", type=int, default=None, help="Decomposition bound override.")
-@_guard
 def normality(polytope, mmax):
     """Normality report with a witness on failure."""
-    P = load_polytope(polytope)
-    click.echo(dumps(normality_to_json(is_normal(P, mmax))), nl=False)
+    click.echo(dumps(normality_to_json(is_normal(polytope, mmax))), nl=False)
 
 
 def _checked_table(P, c, max_i, max_slope, certify):
@@ -200,6 +208,8 @@ def _checked_table(P, c, max_i, max_slope, certify):
 
 def _echo_cached(cache_dir, cmd, P, window, compute):
     """Echo the cached payload of this window, or compute and store it first."""
+    if window["c"] < 1:  # refused before the lookup, like a negative bound
+        raise DegenerateInput(f"c={window['c']} must be positive")
     key = {
         "cmd": cmd,
         "engine": ENGINE_VERSION,
@@ -215,48 +225,44 @@ def _echo_cached(cache_dir, cmd, P, window, compute):
 
 
 @cli.command()
-@click.argument("polytope", type=click.Path(exists=True))
+@click.argument("polytope", type=POLYTOPE)
 @click.option("--c", type=int, default=1, show_default=True, help="Dilation of the bundle.")
 @click.option("--max-i", type=int, default=4, show_default=True)
 @click.option("--max-slope", type=int, default=None, help="Defaults to dim P + 2.")
 @click.option("--certify", is_flag=True, help="Exact arithmetic in every rank.")
 @click.option("--cache-dir", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
-@_guard
 def betti(polytope, c, max_i, max_slope, certify, cache_dir, fmt):
     """Graded Betti numbers of the section ring over the window."""
-    P = load_polytope(polytope)
     if max_slope is None:
-        max_slope = P.dim + 2
+        max_slope = polytope.dim + 2
     _check_limits(max_i=max_i, max_slope=max_slope)
 
     def compute():
-        _, table = _checked_table(P, c, max_i, max_slope, certify)
+        _, table = _checked_table(polytope, c, max_i, max_slope, certify)
         if fmt == "text":
             return betti_text_table(table) + "\n"
         return dumps(betti_to_json(table))
 
     window = {"c": c, "max_i": max_i, "max_slope": max_slope, "certify": certify, "fmt": fmt}
-    _echo_cached(cache_dir, "betti", P, window, compute)
+    _echo_cached(cache_dir, "betti", polytope, window, compute)
 
 
 @cli.command(name="np")
-@click.argument("polytope", type=click.Path(exists=True))
+@click.argument("polytope", type=POLYTOPE)
 @click.option("--c", type=int, default=1, show_default=True)
 @click.option("--pmax", type=int, default=2, show_default=True)
 @click.option("--max-slope", type=int, default=None, help="Defaults to dim P + 2.")
 @click.option("--certify", is_flag=True)
 @click.option("--cache-dir", type=click.Path(), default=None)
-@_guard
 def np_cmd(polytope, c, pmax, max_slope, certify, cache_dir):
     """(N_p) verdicts for p = 0..pmax."""
-    P = load_polytope(polytope)
     if max_slope is None:
-        max_slope = P.dim + 2
+        max_slope = polytope.dim + 2
     _check_limits(pmax=pmax, max_slope=max_slope)
 
     def compute():
-        ring, table = _checked_table(P, c, pmax, max_slope, certify)
+        ring, table = _checked_table(polytope, c, pmax, max_slope, certify)
         verdicts = np_level(ring, pmax, max_slope, table=table)
         return dumps(
             {
@@ -268,14 +274,13 @@ def np_cmd(polytope, c, pmax, max_slope, certify, cache_dir):
         )
 
     window = {"c": c, "pmax": pmax, "max_slope": max_slope, "certify": certify}
-    _echo_cached(cache_dir, "np", P, window, compute)
+    _echo_cached(cache_dir, "np", polytope, window, compute)
 
 
 @cli.command()
-@click.argument("polytope", type=click.Path(exists=True), required=False)
+@click.argument("polytope", type=POLYTOPE, required=False)
 @click.option("--d", "twist", type=str, required=True, help="Integer twist (or vector for --product).")
 @click.option("--product", "product_dims", type=str, default=None, help="Factor dimensions, e.g. 1,2.")
-@_guard
 def cohomology(polytope, twist, product_dims):
     """Cohomology dimensions H^i of a twist."""
     if product_dims:
@@ -283,10 +288,7 @@ def cohomology(polytope, twist, product_dims):
         a = _vec(twist)
         prof = product_profile(n, a)
     else:
-        if polytope is None:
-            raise DegenerateInput("need a polytope path or --product")
-        P = load_polytope(polytope)
-        prof = ample_power_profile(P, _int(twist))
+        prof = ample_power_profile(_needed(polytope), _int(twist))
     click.echo(
         dumps(
             {
@@ -301,10 +303,9 @@ def cohomology(polytope, twist, product_dims):
 
 
 @cli.command()
-@click.argument("polytope", type=click.Path(exists=True), required=False)
+@click.argument("polytope", type=POLYTOPE, required=False)
 @click.option("--m", "twist", type=str, required=True)
 @click.option("--product", "product_dims", type=str, default=None)
-@_guard
 def regularity(polytope, twist, product_dims):
     """O_X-regularity of a twist with respect to the ambient bundle(s)."""
     if product_dims:
@@ -313,24 +314,20 @@ def regularity(polytope, twist, product_dims):
         ok = is_regular_product(n, a)
         click.echo(dumps({"context": "product", "twist": list(a), "regular": ok}), nl=False)
     else:
-        if polytope is None:
-            raise DegenerateInput("need a polytope path or --product")
-        P = load_polytope(polytope)
+        P = _needed(polytope)
         m = _int(twist)
         ok = is_regular_single(P, m)
         click.echo(dumps({"context": "ample_power", "twist": [m], "regular": ok}), nl=False)
 
 
 @cli.command()
-@click.argument("polytope", type=click.Path(exists=True))
+@click.argument("polytope", type=POLYTOPE)
 @click.option("--w1", type=int, required=True, help="First weight of the plan.")
 @click.option("--p", "p", type=int, required=True)
-@_guard
 def predict(polytope, w1, p):
     """Predict (N_p) for the p-th partial-sum twist (one-directional)."""
-    P = load_polytope(polytope)
     plan = single_plan(w1, p)
-    regular_m1 = is_regular_single(P, w1)
+    regular_m1 = is_regular_single(polytope, w1)
     membership = plan.membership_ok()
     result = predict_np_main(plan, regular_m1, membership)
     payload = {
@@ -346,11 +343,10 @@ def predict(polytope, w1, p):
 
 
 @cli.command(name="criteria")
-@click.argument("polytope", type=click.Path(exists=True), required=False)
+@click.argument("polytope", type=POLYTOPE, required=False)
 @click.option("--d", "d_opt", type=str, default=None)
 @click.option("--p", "p", type=int, default=1, show_default=True)
 @click.option("--product", "product_dims", type=str, default=None)
-@_guard
 def criteria_cmd(polytope, d_opt, p, product_dims):
     """All applicable sufficiency criteria for the given instance."""
     results = []
@@ -363,9 +359,7 @@ def criteria_cmd(polytope, d_opt, p, product_dims):
         if p >= 1:
             results.append(cor_canonical_product(n, d, p))
     else:
-        if polytope is None:
-            raise DegenerateInput("need a polytope path or --product")
-        P = load_polytope(polytope)
+        P = _needed(polytope)
         d = _int(d_opt) if d_opt is not None else 1
         results.append(cor1(P.dim, d, p))
         if p >= 1:
@@ -386,7 +380,6 @@ def criteria_cmd(polytope, d_opt, p, product_dims):
 @click.option("--dim", type=int, default=2, show_default=True)
 @click.option("--coord-bound", type=int, default=4, show_default=True)
 @click.option("--out-dir", type=click.Path(), default="corpus", show_default=True)
-@_guard
 def corpus(seed, count_, dim, coord_bound, out_dir):
     """Write a reproducible corpus of polytope JSON files."""
     polys = generate_corpus(seed, count_, dim, coord_bound)
@@ -438,7 +431,6 @@ def _report_rows(certify: bool):
 
 @cli.command()
 @click.option("--certify", is_flag=True)
-@_guard
 def report(certify):
     """Markdown regression report for the worked example claims."""
     rows = _report_rows(certify)
@@ -455,8 +447,7 @@ def report(certify):
         raise ConsistencyError("report mismatch against recorded expectations")
 
 
-def main():
-    cli(standalone_mode=True)
+main = cli
 
 
 if __name__ == "__main__":

@@ -17,16 +17,21 @@ def generate_corpus(
     Random vertex sets in [0, coord_bound]^dim, normalized to full dimension
     and deduplicated by their canonical (sorted) vertex tuple.
     """
-    if dim > 4 or coord_bound > 6:
-        raise DegenerateInput("corpus generation is desk-scale: dim <= 4, bound <= 6")
+    if not (1 <= dim <= 4 and 1 <= coord_bound <= 6) or count < 0:
+        raise DegenerateInput(
+            "corpus generation is desk-scale: 1 <= dim <= 4, 1 <= bound <= 6, count >= 0"
+        )
     rng = random.Random(seed)
     seen = set()
     out: List[LatticePolytope] = []
     attempts = 0
     while len(out) < count:
+        if attempts == 10000 * count:
+            raise DegenerateInput(
+                f"found {len(out)} of {count} distinct {dim}-polytopes in "
+                f"[0, {coord_bound}]^{dim} after {attempts} attempts"
+            )
         attempts += 1
-        if attempts > 10000 * count:
-            raise RuntimeError("corpus generation failed to converge")
         npts = rng.randint(dim + 1, dim + 3)
         pts = [
             tuple(rng.randint(0, coord_bound) for _ in range(dim))

@@ -31,6 +31,8 @@ class CriterionResult:
 
 def cor1(n: int, d: int, p: int) -> CriterionResult:
     """L^d satisfies (N_p) on an n-dimensional toric variety once d >= n-1+p."""
+    if p < 0:
+        raise DegenerateInput("the dimension criterion requires p >= 0")
     threshold = n - 1 + p
     return CriterionResult(
         criterion="dimension_bound",
@@ -85,6 +87,8 @@ def cor_prodproj(
 ) -> CriterionResult:
     """O(d_1,...,d_l) on a product of projective spaces satisfies (N_p)
     for p up to the minimum of the nonzero d_i."""
+    if p < 0:
+        raise DegenerateInput("the Segre-Veronese criterion requires p >= 0")
     nz = [di for di in d if di != 0]
     threshold = min(nz) if nz else None
     ok = threshold is not None and p <= threshold

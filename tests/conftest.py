@@ -1,7 +1,16 @@
+import os
+import tempfile
+
 import pytest
 
 from polysyz import LatticePolytope
 from polysyz.corpus import generate_corpus
+
+# hypothesis caches the constants it reads from the package source, by
+# default under .hypothesis/ in the working directory; keep it out of the tree
+os.environ.setdefault(
+    "HYPOTHESIS_STORAGE_DIRECTORY", os.path.join(tempfile.gettempdir(), "polysyz-hypothesis")
+)
 
 # one line per acceptance criterion, shown after the run regardless of capture
 ACCEPTANCE_LINES = []

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 from polysyz import betti_table, build_ring
 from polysyz import cli as cli_module
 from polysyz.cli import cli
+from polysyz.errors import ConsistencyError, DegenerateInput, WindowExceeded
 from polysyz.serialize import load_polytope
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -177,6 +178,97 @@ class TestExitCodes:
         result = runner.invoke(cli, ["count", CUBIC])
         assert result.exit_code == 4
         assert "target not in lattice" in result.output
+
+
+# one valid invocation per command, and the module name its work is
+# injected through; a command added without a case fails the suite
+POLICY_CASES = {
+    "count": ([TRIANGLE], "load_polytope"),
+    "ehrhart": ([TRIANGLE], "load_polytope"),
+    "roots": ([TRIANGLE], "load_polytope"),
+    "normality": ([TRIANGLE], "load_polytope"),
+    "betti": ([TRIANGLE], "load_polytope"),
+    "np": ([TRIANGLE], "load_polytope"),
+    "cohomology": ([TRIANGLE, "--d", "1"], "load_polytope"),
+    "regularity": ([TRIANGLE, "--m", "1"], "load_polytope"),
+    "predict": ([TRIANGLE, "--w1", "1", "--p", "1"], "load_polytope"),
+    "criteria": ([TRIANGLE], "load_polytope"),
+    "corpus": ([], "generate_corpus"),
+    "report": ([], "_report_rows"),
+}
+
+
+class TestExitPolicy:
+    def test_every_command_has_a_case(self):
+        assert set(POLICY_CASES) == set(cli.commands)
+
+    @pytest.mark.parametrize("name", sorted(cli.commands))
+    @pytest.mark.parametrize("exc, code", [
+        (DegenerateInput, 2),
+        (WindowExceeded, 3),
+        (ConsistencyError, 4),
+        (ValueError, 4),
+    ], ids=["bad-input", "window", "consistency", "internal"])
+    def test_exit_code(self, runner, monkeypatch, tmp_path, name, exc, code):
+        args, target = POLICY_CASES[name]
+
+        def fault(*args, **kwargs):
+            raise exc("injected")
+
+        monkeypatch.setattr(cli_module, target, fault)
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            result = runner.invoke(cli, [name] + args)
+        assert result.exit_code == code
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and "injected" in result.stderr
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("command", [
+        ["cohomology", "--product", "1,2", "--d", "1,1"],
+        ["regularity", "--product", "1,1", "--m", "-1,0"],
+        ["criteria", "--product", "2,2", "--d", "2,2", "--p", "2"],
+    ])
+    def test_path_with_product_is_read(self, runner, tmp_path, command):
+        run_ok(runner, command[:1] + [TRIANGLE] + command[1:])
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        result = runner.invoke(cli, command[:1] + [str(bad)] + command[1:])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: invalid JSON")
+
+    @pytest.mark.parametrize("args", [
+        ["criteria", CUBIC, "--d", "2", "--p", "-1"],
+        ["criteria", "--product", "2,2", "--d", "2,2", "--p", "-1"],
+    ])
+    def test_criteria_negative_p(self, runner, args):
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ") and "p >= 0" in result.stderr
+        assert "N_-1" not in result.output
+
+    @pytest.mark.parametrize("args", [
+        ["--dim", "0", "--count", "2"],
+        ["--dim", "1", "--coord-bound", "1", "--count", "2"],
+        ["--coord-bound", "-1"],
+        ["--count", "-3"],
+    ])
+    def test_corpus_bounds(self, runner, tmp_path, args):
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["corpus", "--out-dir", str(out)] + args)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.output and not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["betti", TRIANGLE, "--c", "0"],
+        ["np", TRIANGLE, "--c", "-2"],
+    ])
+    def test_c_below_one_before_lookup(self, runner, monkeypatch, args):
+        monkeypatch.setattr(cli_module, "_cache_lookup", lambda cache_dir, key: ("{}", None))
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 2
+        assert result.stderr == f"error: c={args[-1]} must be positive\n"
 
 
 class TestDeterminism:

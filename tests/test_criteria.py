@@ -7,6 +7,7 @@ from polysyz import (
     cor_polytope,
     cor_prodproj,
 )
+from polysyz.errors import DegenerateInput
 
 
 class TestDimensionBound:
@@ -94,3 +95,14 @@ class TestAdjointProduct:
     def test_requires_positive_p(self):
         with pytest.raises(ValueError):
             cor_canonical_product([1, 1], (1, 1), 0)
+
+
+@pytest.mark.parametrize("criterion", [
+    lambda p: cor1(2, 2, p),
+    lambda p: cor_prodproj([2, 2], (2, 2), p),
+], ids=["dimension_bound", "segre_veronese"])
+def test_negative_p_is_refused(criterion):
+    # (N_p) is defined for p >= 0; no criterion guarantees an (N_-1)
+    assert criterion(0).guaranteed_p == 0
+    with pytest.raises(DegenerateInput):
+        criterion(-1)

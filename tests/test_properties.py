@@ -1,0 +1,70 @@
+"""Property tests (hypothesis) against the brute-force oracles.
+
+Examples are derandomized and no example database is kept, so the suite
+runs the same cases every time; `conftest.py` keeps hypothesis' on-disk
+cache out of the working tree.
+"""
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from polysyz import betti_table, build_ring, koszul_betti, lattice_points
+from polysyz.lattice import normalize_full_dim
+
+from .oracles import dense_betti
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def polygons(draw, bound, max_points):
+    """A lattice polygon in [0, bound]^2 with at most `max_points` lattice points."""
+    coord = st.integers(0, bound)
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=5, unique=True))
+    P = normalize_full_dim(pts)
+    assume(P.dim == 2 and len(lattice_points(P, 1)) <= max_points)
+    return P
+
+
+# these generate GL2(Z); short words give small entries
+GENERATORS = (((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, 1), (1, 0)), ((-1, 0), (0, 1)))
+
+
+def _product(word):
+    m = ((1, 0), (0, 1))
+    for g in word:
+        m = tuple(
+            tuple(sum(m[r][k] * g[k][c] for k in range(2)) for c in range(2))
+            for r in range(2)
+        )
+    return m
+
+
+unimodular = st.lists(st.sampled_from(GENERATORS), max_size=4).map(_product)
+translations = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(PROPERTY, max_examples=30)
+@given(polygons(bound=2, max_points=5))
+def test_koszul_matches_dense_oracle(P):
+    # c = 1, i <= 2, j - i <= 2; koszul_betti clamps above reg, the oracle never does
+    ring = build_ring(P, 1, 3)
+    for i in range(3):
+        for j in range(i, i + 3):
+            assert koszul_betti(ring, i, j) == dense_betti(ring, i, j), (i, j)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(polygons(bound=3, max_points=8), unimodular, translations)
+def test_betti_table_is_unimodular_invariant(P, A, t):
+    image = [
+        tuple(sum(A[r][k] * v[k] for k in range(2)) + t[r] for r in range(2))
+        for v in P.vertices
+    ]
+    Q = normalize_full_dim(image)
+    assert Q.dim == 2
+
+    def entries(R):
+        return betti_table(build_ring(R, 1, 4), 3, 3).entries
+
+    assert entries(Q) == entries(P)
