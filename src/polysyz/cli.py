@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 bad input, 3 window/limit exceeded, 4 internal
 fault (a failed consistency check, or any other error the package raises).
 The group `cli` maps package exceptions onto these codes for every command,
 and every polytope argument is read by one parameter type, `POLYTOPE`, so a
-malformed file exits 2 wherever it is given.
+malformed file exits 2 wherever it is given.  A path of the wrong kind (a
+directory as a polytope, a file as a directory) exits 2 too.
 All payloads are JSON with exact fraction strings; `betti` can also render
 the conventional text table.
 """
@@ -51,6 +52,11 @@ from .serialize import (
 
 CACHE_ENV = "POLYSYZ_CACHE_DIR"
 
+CERTIFY_HELP = (
+    "Rank every block by Bareiss elimination on its dense copy, "
+    "an independent exact reference."
+)
+
 # hard ceiling on Koszul windows reachable from the CLI; beyond this the
 # strand sizes are out of desk scale and the request is refused (exit 3)
 WINDOW_LIMIT = 8
@@ -75,6 +81,8 @@ def _cache_lookup(cache_dir: Optional[str], key: dict) -> tuple[Optional[str], O
     cache_dir = cache_dir or os.environ.get(CACHE_ENV)
     if not cache_dir:
         return None, None
+    if os.path.exists(cache_dir) and not os.path.isdir(cache_dir):
+        raise DegenerateInput(f"cache directory {cache_dir} is not a directory")
     path = Path(cache_dir) / f"{content_hash(key)}.json"
     if path.exists():
         try:
@@ -143,7 +151,7 @@ class _ExitCodes(click.Group):
             return super().invoke(ctx)
         except WindowExceeded as exc:
             _fail(3, str(exc))
-        except (DegenerateInput, DimensionMismatch, FileNotFoundError) as exc:
+        except (DegenerateInput, DimensionMismatch, FileNotFoundError, NotADirectoryError) as exc:
             _fail(2, str(exc))
         except ConsistencyError as exc:
             _fail(4, str(exc))
@@ -158,7 +166,7 @@ class _PolytopePath(click.Path):
         return load_polytope(super().convert(value, param, ctx))
 
 
-POLYTOPE = _PolytopePath(exists=True)
+POLYTOPE = _PolytopePath(exists=True, dir_okay=False)
 
 
 @click.group(cls=_ExitCodes)
@@ -229,8 +237,8 @@ def _echo_cached(cache_dir, cmd, P, window, compute):
 @click.option("--c", type=int, default=1, show_default=True, help="Dilation of the bundle.")
 @click.option("--max-i", type=int, default=4, show_default=True)
 @click.option("--max-slope", type=int, default=None, help="Defaults to dim P + 2.")
-@click.option("--certify", is_flag=True, help="Exact arithmetic in every rank.")
-@click.option("--cache-dir", type=click.Path(), default=None)
+@click.option("--certify", is_flag=True, help=CERTIFY_HELP)
+@click.option("--cache-dir", type=click.Path(file_okay=False), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
 def betti(polytope, c, max_i, max_slope, certify, cache_dir, fmt):
     """Graded Betti numbers of the section ring over the window."""
@@ -253,8 +261,8 @@ def betti(polytope, c, max_i, max_slope, certify, cache_dir, fmt):
 @click.option("--c", type=int, default=1, show_default=True)
 @click.option("--pmax", type=int, default=2, show_default=True)
 @click.option("--max-slope", type=int, default=None, help="Defaults to dim P + 2.")
-@click.option("--certify", is_flag=True)
-@click.option("--cache-dir", type=click.Path(), default=None)
+@click.option("--certify", is_flag=True, help=CERTIFY_HELP)
+@click.option("--cache-dir", type=click.Path(file_okay=False), default=None)
 def np_cmd(polytope, c, pmax, max_slope, certify, cache_dir):
     """(N_p) verdicts for p = 0..pmax."""
     if max_slope is None:
@@ -379,7 +387,7 @@ def criteria_cmd(polytope, d_opt, p, product_dims):
 @click.option("--count", "count_", type=int, default=10, show_default=True)
 @click.option("--dim", type=int, default=2, show_default=True)
 @click.option("--coord-bound", type=int, default=4, show_default=True)
-@click.option("--out-dir", type=click.Path(), default="corpus", show_default=True)
+@click.option("--out-dir", type=click.Path(file_okay=False), default="corpus", show_default=True)
 def corpus(seed, count_, dim, coord_bound, out_dir):
     """Write a reproducible corpus of polytope JSON files."""
     polys = generate_corpus(seed, count_, dim, coord_bound)
@@ -430,7 +438,7 @@ def _report_rows(certify: bool):
 
 
 @cli.command()
-@click.option("--certify", is_flag=True)
+@click.option("--certify", is_flag=True, help=CERTIFY_HELP)
 def report(certify):
     """Markdown regression report for the worked example claims."""
     rows = _report_rows(certify)

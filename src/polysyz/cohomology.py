@@ -100,6 +100,8 @@ def is_regular_product(n: Sequence[int], a: Sequence[int]) -> bool:
     Checks H^i(O(a - u)) = 0 for every i >= 1 and every u in N^l with
     |u| = i; the range of i is bounded by the total dimension.
     """
+    if len(n) != len(a):
+        raise DegenerateInput("factor dimensions and twist lengths differ")
     ell = len(n)
     for i in range(1, sum(n) + 1):
         for u in _compositions(i, ell):

@@ -89,6 +89,8 @@ def cor_prodproj(
     for p up to the minimum of the nonzero d_i."""
     if p < 0:
         raise DegenerateInput("the Segre-Veronese criterion requires p >= 0")
+    if len(d) != len(n):
+        raise DegenerateInput("factor dimensions and twist lengths differ")
     nz = [di for di in d if di != 0]
     threshold = min(nz) if nz else None
     ok = threshold is not None and p <= threshold
@@ -112,11 +114,13 @@ def cor_canonical_product(
     """
     if p < 1:
         raise DegenerateInput("the adjoint criterion requires p >= 1")
+    if len(m) != len(n):
+        raise DegenerateInput("factor dimensions and twist lengths differ")
     ell = len(n)
     total = sum(n)
     count = total + p if ell >= 2 else total + 1 + p
     threshold = tuple(count - nk - 1 for nk in n)
-    ok = len(m) == ell and all(mk >= tk for mk, tk in zip(m, threshold))
+    ok = all(mk >= tk for mk, tk in zip(m, threshold))
     return CriterionResult(
         criterion="adjoint_product",
         inputs={"n": list(n), "m": list(m), "p": p, "summed_weights": count},

@@ -9,14 +9,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def exact_rank(rows) -> int:
-    """Rank over the rationals via fraction-free (Bareiss) elimination."""
+def _bareiss(rows):
+    """(rank, signed last pivot) by fraction-free elimination (Bareiss 1968).
+
+    Rows are swapped to find each pivot, and every swap flips the sign of
+    the last pivot; for a square matrix of full rank the signed last pivot
+    is the determinant.  The loop stops at full row rank.
+    """
     m = [list(r) for r in rows]
     nrows = len(m)
-    if nrows == 0:
-        return 0
-    ncols = len(m[0])
+    ncols = len(m[0]) if m else 0
     rank = 0
+    sign = 1
     prev = 1
     for col in range(ncols):
         piv = None
@@ -26,7 +30,9 @@ def exact_rank(rows) -> int:
                 break
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
         pr = m[rank]
         p = pr[col]
         for i in range(rank + 1, nrows):
@@ -43,38 +49,18 @@ def exact_rank(rows) -> int:
         rank += 1
         if rank == nrows:
             break
-    return rank
+    return rank, sign * prev
+
+
+def exact_rank(rows) -> int:
+    """Rank over the rationals via fraction-free (Bareiss) elimination."""
+    return _bareiss(rows)[0]
 
 
 def det(rows) -> int:
     """Determinant of a square integer matrix (Bareiss)."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        pr = m[col]
-        p = pr[col]
-        for i in range(col + 1, n):
-            ri = m[i]
-            f = ri[col]
-            for k in range(col + 1, n):
-                ri[k] = (p * ri[k] - f * pr[k]) // prev
-            ri[col] = 0
-        prev = p
-    return sign * m[n - 1][n - 1]
+    rank, last = _bareiss(rows)
+    return last if rank == len(rows) else 0
 
 
 def row_hnf(rows):
@@ -135,13 +121,9 @@ def kernel_basis(rows, ncols=None):
     for j in range(n):
         aug.append([m[i][j] for i in range(nr)] + [1 if k == j else 0 for k in range(n)])
     reduced = row_hnf(aug)
-    out = []
-    for row in reduced:
-        if any(row[:nr]):
-            continue
-        out.append(row[nr:])
-    # rows with nonzero left block come first in HNF order, but be safe
-    return row_hnf(out) if out else []
+    # the rows whose left block vanished are the last rows of an HNF, so
+    # their right blocks are already in HNF
+    return [row[nr:] for row in reduced if not any(row[:nr])]
 
 
 def solve_in_hnf_basis(basis, target):

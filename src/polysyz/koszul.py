@@ -181,14 +181,15 @@ def _level_blocks(ring: GradedSectionRing, q: int, d: int):
     return blocks
 
 
-def _differential_columns(ring, elements, q, d_source, target_pos):
+def _differential_columns(ring, elements, q, d_source, targets):
     """Sparse columns of the Koszul differential on source elements of
     wedge^q V (x) R_{d_source}.
 
-    target_pos maps a target element (an int of wedge^{q-1} V (x)
-    R_{d_source+1}) to its row index.  Sign convention: d(e_{s1}^...^e_{sq} (x) r) =
+    Row k is the k-th element of `targets` (ints of wedge^{q-1} V (x)
+    R_{d_source+1}).  Sign convention: d(e_{s1}^...^e_{sq} (x) r) =
     sum_k (-1)^(k+1) e_{s1}^..^{no s_k}^..^e_{sq} (x) x_{s_k} r  with s1<...<sq.
     """
+    target_pos = {e: k for k, e in enumerate(targets)}
     faces = _wedge(ring, q)[1]
     gen_codes = ring.codes[1]
     src_codes = ring.codes[d_source]
@@ -245,25 +246,24 @@ def _strand_betti(ring: GradedSectionRing, i: int, j: int, policy: RankPolicy) -
     mid = _level_blocks(ring, i, j - i)
     src = _level_blocks(ring, i + 1, j - i - 1)
     tgt = _level_blocks(ring, i - 1, j - i + 1) if i >= 1 else {}
-    # the sparse columns go straight to `rank`; certify hands it dense rows
-    # for Bareiss instead
     certify = policy.certify
     total = 0
     for u, mid_elts in mid.items():
         n_mid = len(mid_elts)
-        if i >= 1:
-            tgt_pos = {e: k for k, e in enumerate(tgt.get(u, []))}
-            out_cols = _differential_columns(ring, mid_elts, i, j - i, tgt_pos)
-            rank_out = rank(_dense(out_cols, len(tgt_pos)) if certify else out_cols, policy)
-        else:
-            rank_out = 0
-        src_elts = src.get(u, [])
-        if src_elts:
-            mid_pos = {e: k for k, e in enumerate(mid_elts)}
-            in_cols = _differential_columns(ring, src_elts, i + 1, j - i - 1, mid_pos)
-            rank_in = rank(_dense(in_cols, n_mid) if certify else in_cols, policy)
-        else:
-            rank_in = 0
+        # the outgoing map (none at i = 0), then the incoming one; a map
+        # with no source element has rank 0
+        ranks = [0, 0]
+        maps = (
+            (mid_elts if i >= 1 else [], i, tgt.get(u, [])),
+            (src.get(u, []), i + 1, mid_elts),
+        )
+        for k, (elts, q, targets) in enumerate(maps):
+            if elts:
+                cols = _differential_columns(ring, elts, q, j - q, targets)
+                # the sparse columns go straight to `rank`; certify hands it
+                # dense rows for Bareiss instead
+                ranks[k] = rank(_dense(cols, len(targets)) if certify else cols, policy)
+        rank_out, rank_in = ranks
         b = n_mid - rank_out - rank_in
         if b < 0:
             raise ConsistencyError(
@@ -284,13 +284,12 @@ def compose_is_zero(ring: GradedSectionRing, i: int, j: int) -> bool:
     tgt = _level_blocks(ring, i - 1, j - i + 1)
     for u, src_elts in src.items():
         mid_elts = mid.get(u, [])
-        mid_pos = {e: k for k, e in enumerate(mid_elts)}
-        tgt_pos = {e: k for k, e in enumerate(tgt.get(u, []))}
-        in_cols = _differential_columns(ring, src_elts, i + 1, j - i - 1, mid_pos)
-        out_cols = _differential_columns(ring, mid_elts, i, j - i, tgt_pos)
+        tgt_elts = tgt.get(u, [])
+        in_cols = _differential_columns(ring, src_elts, i + 1, j - i - 1, mid_elts)
+        out_cols = _differential_columns(ring, mid_elts, i, j - i, tgt_elts)
         # one accumulator per block: it is all zeros again after every
         # column that passes, and the first column that fails ends the check
-        acc = [0] * len(tgt_pos)
+        acc = [0] * len(tgt_elts)
         for col in in_cols:
             for mid_row, v in col.items():
                 for tgt_row, w in out_cols[mid_row].items():
@@ -338,12 +337,18 @@ def np_level(
     and j != i + 1.  A FAILS certificate is the lexicographically first
     offending (i, j, beta_{i,j}), kept for every later p, so failures are
     monotone in p.  Without a `table` the window is computed with the
-    default policy; pass a certified table for certified ranks.
+    default policy; pass a certified table for certified ranks.  A given
+    table must cover the window: an entry it does not hold is unknown, not 0.
     """
     if pmax < 0 or max_slope < 0:
         raise DegenerateInput(f"need pmax, max_slope >= 0, got {pmax}, {max_slope}")
     if table is None:
         table = betti_table(ring, pmax, max_slope)
+    elif pmax > table.max_i or max_slope > table.max_slope:
+        raise WindowExceeded(
+            f"window (pmax={pmax}, max_slope={max_slope}) exceeds the table's "
+            f"(max_i={table.max_i}, max_slope={table.max_slope})"
+        )
     verdicts = []
     cert = None
     for p in range(pmax + 1):

@@ -14,8 +14,7 @@ from .normality import NormalityReport
 
 
 def frac_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return str(Fraction(x))
 
 
 def polytope_from_json(data: Any) -> LatticePolytope:

@@ -89,6 +89,26 @@ def fraction_rank(rows):
     return rank
 
 
+def fraction_det(rows):
+    """Determinant by Gaussian elimination over Fraction, sign-tracked swaps."""
+    m = [[Fraction(v) for v in r] for r in rows]
+    n = len(m)
+    result = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            result = -result
+        result *= m[c][c]
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    assert result.denominator == 1
+    return int(result)
+
+
 def dense_betti(ring, i, j):
     """beta_{i,j} from full (un-blocked) dense strand matrices."""
     gens = ring.bases[1]

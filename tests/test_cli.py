@@ -270,6 +270,44 @@ class TestInputRules:
         assert result.exit_code == 2
         assert result.stderr == f"error: c={args[-1]} must be positive\n"
 
+    @pytest.mark.parametrize("args", [
+        ["criteria", "--product", "2,2", "--d", "3", "--p", "2"],
+        ["regularity", "--product", "0", "--m", "5,5"],
+        ["cohomology", "--product", "1,2", "--d", "1"],
+    ])
+    def test_product_twist_of_another_length(self, runner, args):
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 2
+        assert result.stderr == "error: factor dimensions and twist lengths differ\n"
+        assert result.stdout == ""
+
+    # {dir} names a directory and {file} a file; each path is of the wrong kind
+    @pytest.mark.parametrize("args", [
+        ["ehrhart", "{dir}"],
+        ["betti", TRIANGLE, "--cache-dir", "{file}"],
+        ["corpus", "--out-dir", "{file}"],
+        ["np", TRIANGLE, "--cache-dir", "{file}/sub"],
+        ["corpus", "--out-dir", "{file}/sub"],
+    ], ids=["polytope-dir", "cache-dir-file", "out-dir-file", "cache-dir-under-file",
+            "out-dir-under-file"])
+    def test_path_of_the_wrong_kind(self, runner, tmp_path, args):
+        file = tmp_path / "plain.json"
+        file.write_text("{}")
+        args = [a.format(dir=tmp_path, file=file) for a in args]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        assert file.read_text() == "{}"
+
+    def test_cache_env_names_a_file(self, runner, tmp_path, monkeypatch):
+        file = tmp_path / "plain"
+        file.write_text("")
+        monkeypatch.setenv(cli_module.CACHE_ENV, str(file))
+        result = runner.invoke(cli, ["betti", TRIANGLE, "--max-i", "1"])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: cache directory {file} is not a directory\n"
+        assert result.stdout == ""
+
 
 class TestDeterminism:
     def test_corpus_reproducible(self, runner, tmp_path):

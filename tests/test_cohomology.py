@@ -1,3 +1,5 @@
+import pytest
+
 from polysyz import (
     ample_power_profile,
     build_ring,
@@ -11,6 +13,7 @@ from polysyz import (
     predict_np_main,
     single_plan,
 )
+from polysyz.errors import DegenerateInput
 from polysyz.intlinalg import exact_rank
 
 
@@ -86,6 +89,12 @@ class TestProduct:
         # O(-1,0) on P1xP1 is not regular: H^1(O(-2,0)) = 1
         assert coh_dim_product([1, 1], (-2, 0), 1) == 1
         assert not is_regular_product([1, 1], (-1, 0))
+
+    @pytest.mark.parametrize("n, a", [([0], (5, 5)), ([1, 1], (0,)), ([2], ())])
+    def test_twist_of_another_length_is_refused(self, n, a):
+        # [0] has no cohomology to check, so the length is all that refuses it
+        with pytest.raises(DegenerateInput):
+            is_regular_product(n, a)
 
 
 class TestPrediction:

@@ -106,3 +106,12 @@ def test_negative_p_is_refused(criterion):
     assert criterion(0).guaranteed_p == 0
     with pytest.raises(DegenerateInput):
         criterion(-1)
+
+
+@pytest.mark.parametrize("criterion", [cor_prodproj, cor_canonical_product])
+@pytest.mark.parametrize("n, d", [([2, 2], (3,)), ([1], (2, 2)), ([0], ())])
+def test_twist_of_another_length_is_refused(criterion, n, d):
+    # one twist coordinate per factor; a shorter twist must not read as a
+    # guarantee on the factors it covers
+    with pytest.raises(DegenerateInput):
+        criterion(n, d, 2)

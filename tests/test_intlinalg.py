@@ -1,0 +1,69 @@
+"""The Bareiss elimination behind `det` and `exact_rank`, and `kernel_basis`,
+against the Fraction oracles on seeded random integer matrices."""
+
+import random
+
+import pytest
+
+from polysyz.intlinalg import det, exact_rank, kernel_basis, row_hnf
+
+from .oracles import fraction_det, fraction_rank
+
+
+def _matrix(rng, nrows, ncols):
+    """Entries in -4..4, often zero, sometimes with a zero leading column
+    entry or a repeated row, so pivots need row swaps and ranks fall short."""
+    rows = [
+        [rng.randint(-4, 4) if rng.random() < 0.6 else 0 for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    if nrows >= 2 and rng.random() < 0.3:
+        rows[rng.randrange(nrows)] = list(rows[rng.randrange(nrows)])
+    if nrows and ncols and rng.random() < 0.5:
+        rows[0][0] = 0
+    return rows
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_det_matches_fraction_oracle(n):
+    rng = random.Random(100 + n)
+    seen = set()
+    for _ in range(200):
+        rows = _matrix(rng, n, n)
+        d = det(rows)
+        assert d == fraction_det(rows)
+        seen.add((d > 0) - (d < 0))
+    # a swap that flipped no sign, or a singular matrix read as nonzero,
+    # would show up on one side of zero
+    assert n == 0 or seen == {-1, 0, 1}
+
+
+def test_det_edge_cases():
+    assert det([]) == 1
+    assert det([[0]]) == 0
+    assert det([[0, 1], [1, 0]]) == -1
+    assert det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+    # the input is left as it was
+    rows = [[0, 2], [3, 1]]
+    assert det(rows) == -6 and rows == [[0, 2], [3, 1]]
+
+
+@pytest.mark.parametrize("nrows, ncols", [(0, 0), (1, 5), (5, 1), (3, 7), (7, 3), (6, 6)])
+def test_exact_rank_matches_fraction_oracle(nrows, ncols):
+    rng = random.Random(1000 * nrows + ncols)
+    for _ in range(100):
+        rows = _matrix(rng, nrows, ncols)
+        assert exact_rank(rows) == fraction_rank(rows)
+
+
+@pytest.mark.parametrize("nrows, ncols", [(1, 4), (2, 5), (3, 3), (4, 6), (5, 3)])
+def test_kernel_basis_is_an_hnf_kernel(nrows, ncols):
+    rng = random.Random(7000 * nrows + ncols)
+    for _ in range(60):
+        rows = _matrix(rng, nrows, ncols)
+        out = kernel_basis(rows)
+        assert row_hnf(out) == out
+        assert len(out) == ncols - fraction_rank(rows)
+        for x in out:
+            assert all(sum(a * b for a, b in zip(r, x)) == 0 for r in rows)

@@ -291,6 +291,18 @@ class TestNpLevel:
                 failed = True
             assert not failed or v.status == "FAILS"
 
+    def test_table_must_cover_the_window(self, cubic_triangle):
+        # beta_{1,3} = 1 lies outside the (max_i 0, slope 1) table; reading
+        # it as 0 would verify N_1, which fails
+        ring = build_ring(cubic_triangle, 1, 6)
+        assert np_level(ring, 3, 5)[1].certificate == (1, 3, 1)
+        small = betti_table(ring, 0, 1)
+        for pmax, max_slope in ((3, 5), (1, 1), (0, 2)):
+            with pytest.raises(WindowExceeded):
+                np_level(ring, pmax, max_slope, table=small)
+        assert np_level(ring, 0, 1, table=small)[0].status == "VERIFIED_UP_TO"
+        assert np_level(ring, 0, 0, table=betti_table(ring, 2, 3))[0].status == "VERIFIED_UP_TO"
+
 
 def _np_by_definition(table, p):
     """(N_p) read off the definition: the lexicographically first nonzero

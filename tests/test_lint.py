@@ -1,18 +1,28 @@
 """Static checks on the package source, with the standard library's `ast`.
 
-Two kinds of dead weight fail the suite: an imported name the module never
-uses, and a function parameter (other than self/cls) the function never
-reads.  `__init__.py` is exempt from the import check: its imports are the
-public re-exports.
+Three kinds of dead weight fail the suite: an imported name the module never
+uses, a function parameter (other than self/cls) the function never reads,
+and a module-level function or class, without a decorator, that nothing
+names.  `__init__.py` is exempt from the import check: its imports are the
+public re-exports.  For the same reason a re-export there is not a use.
 """
 
 import ast
+import re
+from functools import cache
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "polysyz"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "polysyz"
 MODULES = sorted(SRC.glob("*.py"))
+# the files whose mentions count as uses of a package definition
+SCANNED = (
+    [p for p in MODULES if p.name != "__init__.py"]
+    + sorted((ROOT / "tests").glob("*.py"))
+    + sorted((ROOT / "perfbench").glob("*.py"))
+)
 
 
 def _parse(path):
@@ -71,6 +81,45 @@ def unread_parameters(tree):
     return unread
 
 
+def _mentions(node):
+    """Every name `node` mentions: names, attributes, imported names, and
+    the parts of a string that is a dotted name or a "module:function" hook
+    target, as in monkeypatch.setattr(module, "name", ...).  Docstrings and
+    other prose do not count."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name.rsplit(".", 1)[-1])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            if re.fullmatch(r"[A-Za-z_][\w.]*(:\w+)?", n.value):
+                names.update(re.split(r"[.:]", n.value))
+    return names
+
+
+def unnamed_definitions(tree, elsewhere):
+    """Module-level functions and classes without a decorator that neither
+    the rest of `tree` nor the names in `elsewhere` mention."""
+    unnamed = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if node.decorator_list:
+            continue
+        rest = set().union(*(_mentions(s) for s in tree.body if s is not node))
+        if node.name not in rest and node.name not in elsewhere:
+            unnamed.append((node.lineno, node.name))
+    return unnamed
+
+
+@cache
+def _mentions_in(path):
+    return frozenset(_mentions(_parse(path)))
+
+
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
 )
@@ -81,6 +130,12 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_parameters(path):
     assert unread_parameters(_parse(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unnamed_definitions(path):
+    elsewhere = set().union(*(_mentions_in(p) for p in SCANNED if p != path))
+    assert unnamed_definitions(_parse(path), elsewhere) == []
 
 
 def test_checks_see_dead_weight():
@@ -97,3 +152,28 @@ def test_checks_see_dead_weight():
     assert unread_parameters(tree) == [
         (3, "f(b)"), (3, "f(rest)"), (3, "f(kw)"), (7, "<lambda>(y)"),
     ]
+
+
+def test_unnamed_definitions_are_seen():
+    tree = ast.parse(
+        '"""Mentions old_loop and Gone in prose, which is no use."""\n'
+        "import functools\n"
+        "def old_loop(rows):\n"
+        "    return old_loop(rows[1:])\n"
+        "def kept(rows):\n"
+        "    return rows\n"
+        "def hooked():\n"
+        "    pass\n"
+        "def called():\n"
+        "    return kept([])\n"
+        "@functools.cache\n"
+        "def decorated():\n"
+        "    pass\n"
+        "class Gone:\n"
+        "    pass\n"
+        "class Used:\n"
+        "    pass\n"
+        "TYPES = (Used,)\n"
+    )
+    elsewhere = _mentions(ast.parse('hooks = ["pkg.mod:hooked", "called"]'))
+    assert unnamed_definitions(tree, elsewhere) == [(3, "old_loop"), (14, "Gone")]
