@@ -67,12 +67,20 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def check_product(n: Sequence[int], a: Sequence[int]) -> None:
+    """Refuse a product of projective spaces P^{n_1} x ... x P^{n_l} with a
+    twist of another length than n, or with a factor dimension below 1."""
+    if len(n) != len(a):
+        raise DegenerateInput("factor dimensions and twist lengths differ")
+    if any(nk < 1 for nk in n):
+        raise DegenerateInput(f"factor dimensions must be at least 1, got {list(n)}")
+
+
 def coh_dim_product(
     n: Sequence[int], a: Sequence[int], i: int
 ) -> int:
     """dim H^i(P^{n_1} x ... x P^{n_l}, O(a)) by the Kunneth formula."""
-    if len(n) != len(a):
-        raise DegenerateInput("factor dimensions and twist lengths differ")
+    check_product(n, a)
     if i < 0 or i > sum(n):
         return 0
     total = 0
@@ -87,6 +95,7 @@ def coh_dim_product(
 
 
 def product_profile(n: Sequence[int], a: Sequence[int]) -> CohomologyProfile:
+    check_product(n, a)
     return CohomologyProfile(
         context="product",
         query=tuple(a),
@@ -100,8 +109,7 @@ def is_regular_product(n: Sequence[int], a: Sequence[int]) -> bool:
     Checks H^i(O(a - u)) = 0 for every i >= 1 and every u in N^l with
     |u| = i; the range of i is bounded by the total dimension.
     """
-    if len(n) != len(a):
-        raise DegenerateInput("factor dimensions and twist lengths differ")
+    check_product(n, a)
     ell = len(n)
     for i in range(1, sum(n) + 1):
         for u in _compositions(i, ell):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence
 
+from .cohomology import check_product
 from .ehrhart import ehrhart_polynomial, integer_root_count, r_of_polytope
 from .errors import DegenerateInput
 from .lattice import LatticePolytope, dilate
@@ -89,8 +90,7 @@ def cor_prodproj(
     for p up to the minimum of the nonzero d_i."""
     if p < 0:
         raise DegenerateInput("the Segre-Veronese criterion requires p >= 0")
-    if len(d) != len(n):
-        raise DegenerateInput("factor dimensions and twist lengths differ")
+    check_product(n, d)
     nz = [di for di in d if di != 0]
     threshold = min(nz) if nz else None
     ok = threshold is not None and p <= threshold
@@ -114,8 +114,7 @@ def cor_canonical_product(
     """
     if p < 1:
         raise DegenerateInput("the adjoint criterion requires p >= 1")
-    if len(m) != len(n):
-        raise DegenerateInput("factor dimensions and twist lengths differ")
+    check_product(n, m)
     ell = len(n)
     total = sum(n)
     count = total + p if ell >= 2 else total + 1 + p

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Tuple
 
 from .errors import ConsistencyError, DegenerateInput
@@ -37,31 +38,26 @@ class RootData:
 
 
 def ehrhart_polynomial(P: LatticePolytope) -> EhrhartPolynomial:
-    """Interpolate the counting polynomial through d = 0..dim P."""
+    """Interpolate the counting polynomial through d = 0..dim P.
+
+    With D_k the k-th forward difference of the counts at d = 0, the
+    polynomial is sum_k D_k binomial(d, k).  Times n! it is Q_0 in the
+    integer Horner scheme Q_n = D_n, Q_k = (n!/k!) D_k + (d - k) Q_{k+1}, so
+    only the final division by n! leaves the integers.
+    """
     n = P.dim
     counts = [len(lattice_points(P, d)) for d in range(n + 1)]
-    # Newton forward differences; exact over Q.
-    table = [Fraction(c) for c in counts]
-    diffs = [table[0]]
-    for level in range(1, n + 1):
-        table = [table[i + 1] - table[i] for i in range(len(table) - 1)]
-        diffs.append(table[0])
-    # sum_k diffs[k] * binomial(d, k), expanded into monomial coefficients
-    coeffs = [Fraction(0)] * (n + 1)
-    falling = [Fraction(1)]  # coefficients of d(d-1)...(d-k+1)
-    from math import factorial
-
-    for k, dk in enumerate(diffs):
-        if k > 0:
-            # multiply falling factorial by (d - (k-1))
-            new = [Fraction(0)] * (len(falling) + 1)
-            for i, c in enumerate(falling):
-                new[i + 1] += c
-                new[i] -= c * (k - 1)
-            falling = new
-        scale = dk / factorial(k)
-        for i, c in enumerate(falling):
-            coeffs[i] += scale * c
+    diffs = []
+    while counts:
+        diffs.append(counts[0])
+        counts = [b - a for a, b in zip(counts, counts[1:])]
+    q = []  # coefficients of Q_{k+1}, lowest degree first
+    weight = 1  # n!/k!
+    for k in range(n, -1, -1):
+        q = [a - k * b for a, b in zip([0] + q, q + [0])]
+        q[0] += weight * diffs[k]
+        weight *= k
+    coeffs = [Fraction(c, factorial(n)) for c in q]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     h = EhrhartPolynomial(tuple(coeffs))

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from .ehrhart import ehrhart_polynomial, integer_root_count
@@ -375,8 +376,6 @@ def k_polynomial_checksum(table: BettiTable) -> bool:
     sum of the table must equal the degree-j coefficient of
     H_R(t) * (1-t)^dim V, with H_R read off the graded dimensions.
     """
-    from math import comb
-
     ring = table.ring
     v = ring.dim_V
     jmax = min(table.max_i, table.max_slope)

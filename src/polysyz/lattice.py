@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
-from operator import mul
-from typing import Iterable, List, Optional, Tuple
+from operator import mul, sub
+from typing import Iterable, List, Tuple
 
 from .errors import DegenerateInput, DimensionMismatch
-from .intlinalg import det, exact_rank, kernel_basis, solve_in_hnf_basis
+from .intlinalg import exact_rank, kernel_basis, solve_in_hnf_basis
 
 LatticePoint = Tuple[int, ...]
 
@@ -44,14 +43,10 @@ class LatticePolytope:
         Raises DegenerateInput if the points do not span the ambient space;
         run normalize_full_dim first in that case.
         """
-        pts = sorted({tuple(int(c) for c in p) for p in points})
-        if not pts:
-            raise DegenerateInput("empty point set")
+        pts, _ = _point_set(points)
         n = len(pts[0])
-        if any(len(p) != n for p in pts):
-            raise DimensionMismatch("points of mixed dimension")
         if n == 0:
-            return cls(vertices=((),), facets=(), ambient_dim=0, dim=0)
+            return _POINT
         facets = tuple(convex_hull_facets(pts))
         verts = []
         for p in pts:
@@ -66,18 +61,22 @@ class LatticePolytope:
         )
 
 
-def _hyperplane_normal(pts: List[LatticePoint]) -> Optional[LatticePoint]:
-    """Integer normal of the hyperplane through `pts` (generalized cross
-    product of the difference vectors); None if they are affinely dependent."""
-    n = len(pts[0])
-    diffs = [tuple(a - b for a, b in zip(p, pts[0])) for p in pts[1:]]
-    normal = []
-    for i in range(n):
-        minor = [[d[k] for k in range(n) if k != i] for d in diffs]
-        normal.append((-1) ** i * det(minor))
-    if not any(normal):
-        return None
-    return tuple(normal)
+# the one 0-dimensional polytope: a point in the 0-dimensional lattice
+_POINT = LatticePolytope(vertices=((),), facets=(), ambient_dim=0, dim=0)
+
+
+def _point_set(
+    points: Iterable[LatticePoint],
+) -> Tuple[List[LatticePoint], List[LatticePoint]]:
+    """(pts, diffs): the distinct points as sorted int tuples, and each later
+    point minus the first.  Refuses an empty set and points of mixed length."""
+    pts = sorted({tuple(int(c) for c in p) for p in points})
+    if not pts:
+        raise DegenerateInput("empty point set")
+    p0 = pts[0]
+    if any(len(p) != len(p0) for p in pts):
+        raise DimensionMismatch("points of mixed dimension")
+    return pts, [tuple(map(sub, p, p0)) for p in pts[1:]]
 
 
 def convex_hull_facets(points: Iterable[LatticePoint]) -> List[HalfSpace]:
@@ -85,35 +84,31 @@ def convex_hull_facets(points: Iterable[LatticePoint]) -> List[HalfSpace]:
 
     Exhaustive search over dim-element point subsets with a one-sidedness
     check.  Exact and perfectly adequate at desk scale (<= ~30 points).
+    A subset's normal is the saturated integer kernel of its dim - 1
+    differences: one primitive vector exactly when the subset is affinely
+    independent.  Normals point inward; facets sort by (normal, offset).
     """
-    pts = sorted({tuple(p) for p in points})
-    if not pts:
-        raise DegenerateInput("empty point set")
+    pts, diffs = _point_set(points)
     n = len(pts[0])
     if n == 0:
         return []
-    diffs = [tuple(a - b for a, b in zip(p, pts[0])) for p in pts[1:]]
     if exact_rank(diffs) < n:
         raise DegenerateInput(
             "point set is not full-dimensional; normalize_full_dim first"
         )
     found = {}
-    for subset in itertools.combinations(pts, n):
-        normal = _hyperplane_normal(list(subset))
-        if normal is None:
+    for p0, *rest in itertools.combinations(pts, n):
+        kernel = kernel_basis([list(map(sub, p, p0)) for p in rest], ncols=n)
+        if len(kernel) != 1:
             continue
-        h = sum(a * b for a, b in zip(normal, subset[0]))
-        vals = [sum(a * b for a, b in zip(normal, p)) for p in pts]
-        if all(v >= h for v in vals):
-            pass
-        elif all(v <= h for v in vals):
-            normal = tuple(-a for a in normal)
-            h = -h
-        else:
-            continue
-        g = gcd(*normal, h)
-        key = (tuple(a // g for a in normal), h // g)
-        found[key] = HalfSpace(*key)
+        normal = tuple(kernel[0])
+        h = sum(map(mul, normal, p0))
+        vals = [sum(map(mul, normal, p)) for p in pts]
+        if min(vals) < h:
+            if max(vals) > h:
+                continue
+            normal, h = tuple(-a for a in normal), -h
+        found[normal, h] = HalfSpace(normal, h)
     return sorted(found.values(), key=lambda f: (f.normal, f.offset))
 
 
@@ -123,19 +118,16 @@ def normalize_full_dim(points: Iterable[LatticePoint]) -> LatticePolytope:
     The new coordinates are taken with respect to a basis of the *saturated*
     lattice Z^n intersected with the affine span, so lattice point counts of
     every dilation are preserved.  Already full-dimensional input is returned
-    unchanged (no translation).
+    unchanged (no translation); a single point becomes the 0-dimensional
+    polytope.  Raises DimensionMismatch on points of mixed length.
     """
-    pts = sorted({tuple(int(c) for c in p) for p in points})
-    if not pts:
-        raise DegenerateInput("empty point set")
+    pts, diffs = _point_set(points)
     n = len(pts[0])
-    p0 = pts[0]
-    diffs = [tuple(a - b for a, b in zip(p, p0)) for p in pts[1:]]
-    r = exact_rank(diffs) if diffs else 0
+    r = exact_rank(diffs)
     if r == n:
         return LatticePolytope.from_points(pts)
     if r == 0:
-        return LatticePolytope(vertices=((),), facets=(), ambient_dim=0, dim=0)
+        return _POINT
     equations = kernel_basis(diffs, ncols=n)
     basis = kernel_basis(equations, ncols=n)
     new_pts = [solve_in_hnf_basis(basis, d) for d in [(0,) * n] + diffs]

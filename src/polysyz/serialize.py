@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Any, Dict, List
 
@@ -89,28 +90,14 @@ def betti_text_table(table: BettiTable) -> str:
 
 
 def verdicts_to_json(verdicts: List[NpVerdict]) -> List[Dict[str, Any]]:
-    out = []
-    for v in verdicts:
-        entry: Dict[str, Any] = {"p": v.p, "status": v.status}
-        if v.certificate is not None:
-            entry["certificate"] = list(v.certificate)
-        if v.bound is not None:
-            entry["bound"] = v.bound
-        if v.criterion is not None:
-            entry["criterion"] = v.criterion
-        out.append(entry)
-    return out
+    """Each verdict's fields in declaration order, without the unset ones."""
+    return [{k: x for k, x in asdict(v).items() if x is not None} for v in verdicts]
 
 
 def criterion_to_json(res) -> Dict[str, Any]:
-    return {
-        "criterion": res.criterion,
-        "inputs": res.inputs,
-        "guaranteed_p": res.guaranteed_p,
-        "threshold": list(res.threshold)
-        if isinstance(res.threshold, tuple)
-        else res.threshold,
-    }
+    """All fields in declaration order; json writes the tuple threshold of
+    the adjoint criterion as a list."""
+    return asdict(res)
 
 
 def canonical_key(obj: Any) -> bytes:

@@ -108,6 +108,18 @@ class TestBasicCommands:
         assert by_name["polytope_normality"]["threshold"] == 2
 
 
+# stdout of `ehrhart`, `roots`, `count --d 3` and `criteria --d 2 --p 1` on
+# every data/*.json, keyed by the command line with the file's name
+GOLDEN = json.loads((Path(__file__).resolve().parent / "golden_stdout.json").read_text())
+
+
+@pytest.mark.parametrize("line", sorted(GOLDEN))
+def test_golden_stdout(runner, line):
+    command, name, *rest = line.split()
+    result = run_ok(runner, [command, str(DATA / name)] + rest)
+    assert result.stdout == GOLDEN[line]
+
+
 class TestExitCodes:
     def test_missing_file(self, runner):
         result = runner.invoke(cli, ["ehrhart", "no_such_file.json"])
@@ -279,6 +291,18 @@ class TestInputRules:
         result = runner.invoke(cli, args)
         assert result.exit_code == 2
         assert result.stderr == "error: factor dimensions and twist lengths differ\n"
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("args", [
+        ["cohomology", "--product", "-1,2", "--d", "1,1"],
+        ["regularity", "--product", "-1,2", "--m", "1,1"],
+        ["criteria", "--product", "-1,2", "--d", "1,1", "--p", "1"],
+        ["cohomology", "--product", "-3", "--d", "1"],
+    ])
+    def test_product_factor_dimension_below_one(self, runner, args):
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: factor dimensions must be at least 1")
         assert result.stdout == ""
 
     # {dir} names a directory and {file} a file; each path is of the wrong kind

@@ -11,6 +11,7 @@ from polysyz import (
     lattice_points,
     np_level,
     predict_np_main,
+    product_profile,
     single_plan,
 )
 from polysyz.errors import DegenerateInput
@@ -92,9 +93,19 @@ class TestProduct:
 
     @pytest.mark.parametrize("n, a", [([0], (5, 5)), ([1, 1], (0,)), ([2], ())])
     def test_twist_of_another_length_is_refused(self, n, a):
-        # [0] has no cohomology to check, so the length is all that refuses it
-        with pytest.raises(DegenerateInput):
+        # the length is checked before the factor dimensions
+        with pytest.raises(DegenerateInput, match="twist lengths differ"):
             is_regular_product(n, a)
+
+    @pytest.mark.parametrize("query", [
+        product_profile, lambda n, a: coh_dim_product(n, a, 0), is_regular_product,
+    ], ids=["profile", "dim", "regular"])
+    @pytest.mark.parametrize("n, a", [([-1, 2], (1, 1)), ([-3], (1,)), ([2, 0], (0, 0))])
+    def test_factor_dimension_below_one_is_refused(self, query, n, a):
+        # P^n needs n >= 1; unchecked, a negative n fails inside comb or
+        # reads as a product with no cohomology at all
+        with pytest.raises(DegenerateInput, match="at least 1"):
+            query(n, a)
 
 
 class TestPrediction:

@@ -115,3 +115,11 @@ def test_twist_of_another_length_is_refused(criterion, n, d):
     # guarantee on the factors it covers
     with pytest.raises(DegenerateInput):
         criterion(n, d, 2)
+
+
+@pytest.mark.parametrize("criterion", [cor_prodproj, cor_canonical_product])
+@pytest.mark.parametrize("n, d", [([-1, 2], (1, 1)), ([0], (2,))])
+def test_factor_dimension_below_one_is_refused(criterion, n, d):
+    # a factor P^n needs n >= 1; a negative one must not read as a guarantee
+    with pytest.raises(DegenerateInput, match="at least 1"):
+        criterion(n, d, 1)

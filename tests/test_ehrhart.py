@@ -9,12 +9,13 @@ from polysyz import (
     r_of_polytope,
     reciprocity_check,
 )
+from polysyz.corpus import generate_corpus
 
 
 def test_unit_simplices_binomial():
     from math import comb
 
-    for n in range(1, 4):
+    for n in range(1, 5):
         verts = [(0,) * n] + [
             tuple(1 if k == i else 0 for k in range(n)) for i in range(n)
         ]
@@ -64,9 +65,12 @@ def test_reciprocity(unit_triangle, unit_square):
 
 
 def test_out_of_sample_counts(corpus50):
-    for P in corpus50[:10]:
+    # the 4-D polytopes give degree-4 polynomials
+    corpus4d = generate_corpus(seed=3, count=3, dim=4, coord_bound=2)
+    for P in corpus50[:10] + corpus4d:
         h = ehrhart_polynomial(P)
         n = P.dim
+        assert h.degree == n
         for d in (n + 1, n + 2):
             assert h(d) == len(lattice_points(P, d))
 

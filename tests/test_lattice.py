@@ -1,3 +1,6 @@
+import itertools
+from math import gcd
+
 import pytest
 
 from polysyz import (
@@ -43,14 +46,26 @@ class TestConvexHullFacets:
             ((-2, -2, 1), -2),
         }
 
-    def test_facets_against_membership_oracle(self, cubic_triangle):
-        verts = [(1, 0), (0, 1), (2, 2)]
-        for x in [(a, b) for a in range(-1, 4) for b in range(-1, 4)]:
-            assert contains(cubic_triangle, 1, x) == in_hull(verts, x)
+    def test_facets_against_membership_oracle(self, cubic_triangle, corpus2d, corpus3d):
+        # the facets cut out the hull on its bounding box plus a margin of 1,
+        # and every normal is primitive
+        for P in [cubic_triangle] + corpus2d + corpus3d:
+            n = P.ambient_dim
+            box = itertools.product(*(
+                range(min(v[i] for v in P.vertices) - 1, max(v[i] for v in P.vertices) + 2)
+                for i in range(n)
+            ))
+            for x in box:
+                assert contains(P, 1, x) == in_hull(P.vertices, x)
+            assert all(gcd(*f.normal) == 1 for f in P.facets)
 
     def test_degenerate_reported(self):
         with pytest.raises(DegenerateInput):
             convex_hull_facets([(0, 0, 0), (1, 1, 0), (0, 0, 2)])
+
+    def test_mixed_dimension_refused(self):
+        with pytest.raises(DimensionMismatch):
+            convex_hull_facets([(0, 0), (1, 0, 0), (0, 1), (1, 1)])
 
     def test_redundant_input_points_dropped(self):
         P = LatticePolytope.from_points([(0, 0), (2, 0), (0, 2), (1, 1), (1, 0)])
@@ -80,14 +95,17 @@ class TestNormalizeFullDim:
         assert P.dim == 0
         assert lattice_points(P, 3) == [()]
 
+    def test_mixed_dimension_refused(self):
+        # zip would truncate the longer point and leave a 1-D segment
+        with pytest.raises(DimensionMismatch):
+            normalize_full_dim([(0, 0), (1, 0, 0)])
+
     def test_idempotent_facets(self, cubic_triangle):
         again = normalize_full_dim(cubic_triangle.vertices)
         assert facet_set(again) == facet_set(cubic_triangle)
 
 
 def _box(verts, d):
-    import itertools
-
     n = len(verts[0])
     los = [d * min(v[i] for v in verts) for i in range(n)]
     his = [d * max(v[i] for v in verts) for i in range(n)]

@@ -5,6 +5,8 @@ uses, a function parameter (other than self/cls) the function never reads,
 and a module-level function or class, without a decorator, that nothing
 names.  `__init__.py` is exempt from the import check: its imports are the
 public re-exports.  For the same reason a re-export there is not a use.
+A fourth check fails on an import inside a function body: every module
+states what it depends on at its top.
 """
 
 import ast
@@ -81,6 +83,16 @@ def unread_parameters(tree):
     return unread
 
 
+def function_imports(tree):
+    """Line numbers of the import statements inside a function body."""
+    return sorted({
+        n.lineno
+        for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for stmt in f.body for n in ast.walk(stmt)
+        if isinstance(n, (ast.Import, ast.ImportFrom))
+    })
+
+
 def _mentions(node):
     """Every name `node` mentions: names, attributes, imported names, and
     the parts of a string that is a dotted name or a "module:function" hook
@@ -133,6 +145,11 @@ def test_no_unread_parameters(path):
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_imports(path):
+    assert function_imports(_parse(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unnamed_definitions(path):
     elsewhere = set().union(*(_mentions_in(p) for p in SCANNED if p != path))
     assert unnamed_definitions(_parse(path), elsewhere) == []
@@ -177,3 +194,19 @@ def test_unnamed_definitions_are_seen():
     )
     elsewhere = _mentions(ast.parse('hooks = ["pkg.mod:hooked", "called"]'))
     assert unnamed_definitions(tree, elsewhere) == [(3, "old_loop"), (14, "Gone")]
+
+
+def test_function_imports_are_seen():
+    tree = ast.parse(
+        "import os\n"
+        "def f():\n"
+        "    from math import comb\n"
+        "    def g():\n"
+        "        import json\n"
+        "    return comb\n"
+        "class K:\n"
+        "    def m(self):\n"
+        "        if self:\n"
+        "            import re\n"
+    )
+    assert function_imports(tree) == [3, 5, 10]
