@@ -128,7 +128,9 @@ class WeightPlan:
     p: int
 
     def __post_init__(self):
-        if self.p < 1 or len(self.weights) < self.p:
+        if self.p < 1:
+            raise DegenerateInput(f"p must be at least 1, got {self.p}")
+        if len(self.weights) < self.p:
             raise DegenerateInput("need at least p weight vectors")
         if any(len(w) != self.ell for w in self.weights):
             raise DegenerateInput("weight vector of wrong length")

@@ -29,6 +29,10 @@ and code(a + b) = code(a) + code(b).  Blocks are keyed by the code of u, a
 basis element is the int k * |R_d| + r (k the position of S in
 combinations(range(dim V), q), r the index of the ring element), and a
 differential column costs one int add and int-keyed dict lookups per term.
+
+A level wedge^q V (x) R_d that does not exist (q = -1 at i = 0, q > dim V,
+d < 0 or d > dmax) has no blocks, and a map with no source or no target
+element has rank 0, so the ends of the complex need no case of their own.
 """
 
 from __future__ import annotations
@@ -242,24 +246,29 @@ def koszul_betti(
     return _strand_betti(ring, i, j, policy)
 
 
-def _strand_betti(ring: GradedSectionRing, i: int, j: int, policy: RankPolicy) -> int:
-    """dim ker(outgoing) - rank(incoming), summed over the strand's blocks."""
+def _strand_blocks(ring: GradedSectionRing, i: int, j: int):
+    """(u, source, middle, target elements) for each block u of the strand's
+    middle level; the three levels are built once, and a missing level's
+    lists are empty."""
     mid = _level_blocks(ring, i, j - i)
     src = _level_blocks(ring, i + 1, j - i - 1)
-    tgt = _level_blocks(ring, i - 1, j - i + 1) if i >= 1 else {}
+    tgt = _level_blocks(ring, i - 1, j - i + 1)
+    for u, mid_elts in mid.items():
+        yield u, src.get(u, []), mid_elts, tgt.get(u, [])
+
+
+def _strand_betti(ring: GradedSectionRing, i: int, j: int, policy: RankPolicy) -> int:
+    """dim ker(outgoing) - rank(incoming), summed over the strand's blocks."""
     certify = policy.certify
     total = 0
-    for u, mid_elts in mid.items():
+    for u, src_elts, mid_elts, tgt_elts in _strand_blocks(ring, i, j):
         n_mid = len(mid_elts)
-        # the outgoing map (none at i = 0), then the incoming one; a map
-        # with no source element has rank 0
+        # the outgoing map, then the incoming one; a map with no source or
+        # no target element has rank 0
         ranks = [0, 0]
-        maps = (
-            (mid_elts if i >= 1 else [], i, tgt.get(u, [])),
-            (src.get(u, []), i + 1, mid_elts),
-        )
+        maps = ((mid_elts, i, tgt_elts), (src_elts, i + 1, mid_elts))
         for k, (elts, q, targets) in enumerate(maps):
-            if elts:
+            if elts and targets:
                 cols = _differential_columns(ring, elts, q, j - q, targets)
                 # the sparse columns go straight to `rank`; certify hands it
                 # dense rows for Bareiss instead
@@ -280,12 +289,9 @@ def compose_is_zero(ring: GradedSectionRing, i: int, j: int) -> bool:
     if i < 1 or j < i or i + 1 > ring.dim_V:
         return True
     _check_window(ring, i, j)
-    mid = _level_blocks(ring, i, j - i)
-    src = _level_blocks(ring, i + 1, j - i - 1)
-    tgt = _level_blocks(ring, i - 1, j - i + 1)
-    for u, src_elts in src.items():
-        mid_elts = mid.get(u, [])
-        tgt_elts = tgt.get(u, [])
+    for _, src_elts, mid_elts, tgt_elts in _strand_blocks(ring, i, j):
+        if not src_elts:
+            continue
         in_cols = _differential_columns(ring, src_elts, i + 1, j - i - 1, mid_elts)
         out_cols = _differential_columns(ring, mid_elts, i, j - i, tgt_elts)
         # one accumulator per block: it is all zeros again after every

@@ -123,11 +123,8 @@ def normalize_full_dim(points: Iterable[LatticePoint]) -> LatticePolytope:
     """
     pts, diffs = _point_set(points)
     n = len(pts[0])
-    r = exact_rank(diffs)
-    if r == n:
+    if exact_rank(diffs) == n:
         return LatticePolytope.from_points(pts)
-    if r == 0:
-        return _POINT
     equations = kernel_basis(diffs, ncols=n)
     basis = kernel_basis(equations, ncols=n)
     new_pts = [solve_in_hnf_basis(basis, d) for d in [(0,) * n] + diffs]
@@ -139,8 +136,11 @@ def _box_walk(P: LatticePolytope, d: int, strict: bool) -> List[LatticePoint]:
     with <normal, x> >= d * offset on every facet, or > when `strict`.
 
     Normals and offsets are integers, so the strict test is the closed one
-    with the threshold d * offset + 1.
+    with the threshold d * offset + 1.  In ambient dimension 0 the box is
+    the one point (), and a polytope without facets passes every test.
     """
+    if d < 0:
+        raise DegenerateInput("dilation must be nonnegative")
     n = P.ambient_dim
     los = [d * min(v[i] for v in P.vertices) for i in range(n)]
     his = [d * max(v[i] for v in P.vertices) for i in range(n)]
@@ -154,17 +154,12 @@ def _box_walk(P: LatticePolytope, d: int, strict: bool) -> List[LatticePoint]:
 
 def lattice_points(P: LatticePolytope, d: int) -> List[LatticePoint]:
     """All lattice points of the dilation dP, sorted lexicographically."""
-    if d < 0:
-        raise DegenerateInput("dilation must be nonnegative")
-    if P.dim == 0:
-        return [()]
     return _box_walk(P, d, strict=False)
 
 
 def interior_lattice_points(P: LatticePolytope, d: int) -> List[LatticePoint]:
-    """Lattice points strictly inside dP."""
-    if P.dim == 0:
-        return []
+    """Lattice points in the relative interior of dP: the closed points on
+    no facet hyperplane.  A single point is its own relative interior."""
     return _box_walk(P, d, strict=True)
 
 
@@ -174,8 +169,6 @@ def contains(P: LatticePolytope, d: int, x: LatticePoint) -> bool:
         raise DimensionMismatch(
             f"point of length {len(x)} in ambient dimension {P.ambient_dim}"
         )
-    if P.dim == 0:
-        return True
     return all(
         sum(a * b for a, b in zip(f.normal, x)) >= d * f.offset for f in P.facets
     )
@@ -185,8 +178,6 @@ def dilate(P: LatticePolytope, k: int) -> LatticePolytope:
     """The polytope kP (vertices scaled by k)."""
     if k < 1:
         raise DegenerateInput("dilation factor must be >= 1")
-    if P.dim == 0:
-        return P
     return LatticePolytope.from_points(
         tuple(k * c for c in v) for v in P.vertices
     )

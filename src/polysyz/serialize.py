@@ -23,16 +23,13 @@ def polytope_from_json(data: Any) -> LatticePolytope:
     if not isinstance(data, dict) or "vertices" not in data:
         raise DegenerateInput('polytope JSON must be {"vertices": [[int,...],...]}')
     verts = data["vertices"]
-    if not isinstance(verts, list) or not verts:
-        raise DegenerateInput("vertices must be a nonempty list")
-    pts = []
+    if not isinstance(verts, list):
+        raise DegenerateInput("vertices must be a list")
     for v in verts:
-        if not isinstance(v, list) or not all(isinstance(c, int) for c in v):
+        # type, not isinstance: bool is an int subclass, and true is no coordinate
+        if not isinstance(v, list) or not all(type(c) is int for c in v):
             raise DegenerateInput(f"bad vertex {v!r}: expected a list of ints")
-        pts.append(tuple(v))
-    if len({len(p) for p in pts}) != 1:
-        raise DegenerateInput("vertices of mixed dimension")
-    return normalize_full_dim(pts)
+    return normalize_full_dim(verts)
 
 
 def polytope_to_json(P: LatticePolytope) -> Dict[str, Any]:

@@ -77,6 +77,13 @@ class TestBasicCommands:
         assert data["dims"]["0"] == 6
         assert data["euler"] == 6
 
+    def test_cohomology_of_a_point(self, runner, tmp_path):
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({"vertices": [[5, 7]]}))
+        for d in ("-1", "0", "2"):
+            data = json.loads(run_ok(runner, ["cohomology", str(point), "--d", d]).stdout)
+            assert data["dims"] == {"0": 1} and data["euler"] == 1
+
     def test_regularity(self, runner):
         data = json.loads(run_ok(runner, ["regularity", CUBIC, "--m", "2"]).stdout)
         assert data["regular"] is True
@@ -175,6 +182,25 @@ class TestExitCodes:
         result = runner.invoke(cli, args)
         assert result.exit_code == 2
         assert result.output.startswith("error: ") and "-1" in result.output
+
+    @pytest.mark.parametrize("vertices, message", [
+        ([], "empty point set"),
+        ([[0, 0], [1]], "points of mixed dimension"),
+        # booleans are ints to Python, but no coordinates
+        ([[True, False], [0, 1], [0, 0]], "bad vertex [True, False]"),
+    ], ids=["empty", "mixed", "booleans"])
+    def test_refused_vertices(self, runner, tmp_path, vertices, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"vertices": vertices}))
+        result = runner.invoke(cli, ["count", str(bad)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ") and message in result.stderr
+        assert result.stdout == ""
+
+    def test_predict_p_below_one(self, runner):
+        result = runner.invoke(cli, ["predict", CUBIC, "--w1", "2", "--p", "0"])
+        assert result.exit_code == 2
+        assert result.stderr == "error: p must be at least 1, got 0\n"
 
     def test_undecodable_file(self, runner, tmp_path):
         bad = tmp_path / "binary.json"

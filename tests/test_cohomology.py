@@ -9,6 +9,7 @@ from polysyz import (
     is_regular_product,
     is_regular_single,
     lattice_points,
+    normalize_full_dim,
     np_level,
     predict_np_main,
     product_profile,
@@ -32,6 +33,14 @@ class TestAmplePower:
             h = ehrhart_polynomial(P)
             for d in range(-5, 6):
                 assert ample_power_profile(P, d).euler() == h(d)
+
+    def test_point(self):
+        # a point has H^0 = 1 in every twist, and h = 1
+        point = normalize_full_dim([(5, 7)])
+        h = ehrhart_polynomial(point)
+        for d in range(-3, 4):
+            assert ample_power_profile(point, d).dims == {0: 1}
+            assert ample_power_profile(point, d).euler() == h(d) == 1
 
 
 class TestRegularSingle:

@@ -6,6 +6,7 @@ from polysyz import (
     ehrhart_polynomial,
     integer_root_count,
     lattice_points,
+    normalize_full_dim,
     r_of_polytope,
     reciprocity_check,
 )
@@ -62,6 +63,8 @@ def test_r_matches_root_count(corpus50):
 def test_reciprocity(unit_triangle, unit_square):
     assert reciprocity_check(unit_triangle, 3)
     assert reciprocity_check(unit_square, 4)
+    # h = 1, and the point is its own interior in every dilation
+    assert reciprocity_check(normalize_full_dim([(5, 7)]), 4)
 
 
 def test_out_of_sample_counts(corpus50):

@@ -9,6 +9,7 @@ from polysyz import (
     LatticePolytope,
     contains,
     convex_hull_facets,
+    dilate,
     interior_lattice_points,
     lattice_points,
     normalize_full_dim,
@@ -173,7 +174,14 @@ class TestInterior:
             lattice_points(unit_triangle, -1)
         point = normalize_full_dim([(5, 7)])
         assert lattice_points(point, 2) == [()]
-        assert interior_lattice_points(point, 2) == []
+        # the closed points on no facet hyperplane: the point has no facet
+        assert interior_lattice_points(point, 2) == [()]
+
+    @pytest.mark.parametrize("walk", [lattice_points, interior_lattice_points])
+    def test_negative_dilation_refused(self, unit_triangle, walk):
+        for P in (unit_triangle, normalize_full_dim([(5, 7)])):
+            with pytest.raises(DegenerateInput, match="dilation must be nonnegative"):
+                walk(P, -1)
 
 
 class TestContains:
@@ -181,6 +189,11 @@ class TestContains:
         assert contains(unit_triangle, 1, (0, 0))
         assert not contains(unit_triangle, 1, (2, 0))
         assert contains(simplex112, 2, (1, 1, 1))
+
+    def test_point(self):
+        point = normalize_full_dim([(5, 7)])
+        assert contains(point, 3, ())
+        assert dilate(point, 4) == point
 
     def test_dimension_mismatch(self, unit_triangle):
         with pytest.raises(DimensionMismatch):

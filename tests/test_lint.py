@@ -6,7 +6,8 @@ and a module-level function or class, without a decorator, that nothing
 names.  `__init__.py` is exempt from the import check: its imports are the
 public re-exports.  For the same reason a re-export there is not a use.
 A fourth check fails on an import inside a function body: every module
-states what it depends on at its top.
+states what it depends on at its top.  A fifth holds README's Layout block
+to the modules that exist.
 """
 
 import ast
@@ -210,3 +211,24 @@ def test_function_imports_are_seen():
         "            import re\n"
     )
     assert function_imports(tree) == [3, 5, 10]
+
+
+def layout_modules(readme):
+    """The file names listed in the first code block under "## Layout"."""
+    section = readme.split("\n## Layout\n", 1)[1]
+    block = section.split("```", 2)[1]
+    return re.findall(r"^\s+(\w+\.py)\b", block, flags=re.M)
+
+
+def test_readme_layout_names_every_module():
+    listed = layout_modules((ROOT / "README.md").read_text())
+    assert sorted(listed) == [p.name for p in MODULES if p.name != "__init__.py"]
+
+
+def test_layout_modules_are_read():
+    readme = (
+        "# x\n\n## Layout\n\n```\nsrc/polysyz/\n"
+        "  lattice.py   hulls\n  cli.py       commands, not ranks.py\n```\n"
+        "\n```\n  other.py\n```\n"
+    )
+    assert layout_modules(readme) == ["lattice.py", "cli.py"]
