@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Tuple
 
-from .errors import ConsistencyError, DegenerateInput
+from .errors import ConsistencyError
 from .lattice import LatticePolytope, interior_lattice_points, lattice_points
 
 
@@ -75,9 +75,8 @@ def integer_root_count(h: EhrhartPolynomial) -> RootData:
 
 
 def r_of_polytope(P: LatticePolytope) -> int:
-    """Largest r such that rP has no interior lattice point."""
-    if P.dim < 1:
-        raise DegenerateInput("r(P) needs dim >= 1")
+    """Largest r such that rP has no interior lattice point (0 for a point,
+    which is its own interior)."""
     r = 0
     while r <= P.dim and not interior_lattice_points(P, r + 1):
         r += 1

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: determinants, ranks, Hermite forms.
+"""Exact integer linear algebra: ranks, Hermite forms, integer kernels.
 
 Everything here works on plain Python ints (arbitrary precision) so the
 geometry layer never touches floating point.
@@ -6,21 +6,17 @@ geometry layer never touches floating point.
 
 from __future__ import annotations
 
-from fractions import Fraction
 
+def exact_rank(rows) -> int:
+    """Rank over the rationals by fraction-free elimination (Bareiss 1968).
 
-def _bareiss(rows):
-    """(rank, signed last pivot) by fraction-free elimination (Bareiss 1968).
-
-    Rows are swapped to find each pivot, and every swap flips the sign of
-    the last pivot; for a square matrix of full rank the signed last pivot
-    is the determinant.  The loop stops at full row rank.
+    Every division is exact, so all entries stay integers.  The input is
+    left as it was, and the loop stops at full row rank.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     rank = 0
-    sign = 1
     prev = 1
     for col in range(ncols):
         piv = None
@@ -30,9 +26,7 @@ def _bareiss(rows):
                 break
         if piv is None:
             continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-            sign = -sign
+        m[rank], m[piv] = m[piv], m[rank]
         pr = m[rank]
         p = pr[col]
         for i in range(rank + 1, nrows):
@@ -49,18 +43,7 @@ def _bareiss(rows):
         rank += 1
         if rank == nrows:
             break
-    return rank, sign * prev
-
-
-def exact_rank(rows) -> int:
-    """Rank over the rationals via fraction-free (Bareiss) elimination."""
-    return _bareiss(rows)[0]
-
-
-def det(rows) -> int:
-    """Determinant of a square integer matrix (Bareiss)."""
-    rank, last = _bareiss(rows)
-    return last if rank == len(rows) else 0
+    return rank
 
 
 def row_hnf(rows):
@@ -101,25 +84,20 @@ def row_hnf(rows):
     return m[:r]
 
 
-def kernel_basis(rows, ncols=None):
-    """Basis (as rows) of the saturated integer kernel {x : M x = 0}.
+def kernel_basis(rows, ncols):
+    """Basis (as rows) of the saturated integer kernel {x : M x = 0} of an
+    integer matrix M with `ncols` columns (given, so M may have no rows).
 
     Works by row-reducing [M^T | I] and collecting the rows whose M^T part
     vanished.  The kernel of an integer matrix is automatically saturated,
     so the result is a lattice basis of the full rational kernel
     intersected with Z^n.
     """
-    m = [list(r) for r in rows]
-    if m:
-        n = len(m[0])
-    else:
-        if ncols is None:
-            raise ValueError("ncols required for an empty matrix")
-        n = ncols
-    nr = len(m)
-    aug = []
-    for j in range(n):
-        aug.append([m[i][j] for i in range(nr)] + [1 if k == j else 0 for k in range(n)])
+    nr = len(rows)
+    aug = [
+        [r[j] for r in rows] + [1 if k == j else 0 for k in range(ncols)]
+        for j in range(ncols)
+    ]
     reduced = row_hnf(aug)
     # the rows whose left block vanished are the last rows of an HNF, so
     # their right blocks are already in HNF
@@ -147,32 +125,3 @@ def solve_in_hnf_basis(basis, target):
     if any(w):
         raise ValueError("target not in lattice")
     return tuple(coords)
-
-
-def solve_rational(rows, rhs):
-    """Solve M x = rhs over Q; returns a tuple of Fractions or None."""
-    m = [[Fraction(v) for v in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
-    nrows = len(m)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [a * inv for a in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, nrows):
-        if m[i][ncols]:
-            return None
-    x = [Fraction(0)] * ncols
-    for k, c in enumerate(pivots):
-        x[c] = m[k][ncols]
-    return tuple(x)

@@ -164,7 +164,9 @@ def interior_lattice_points(P: LatticePolytope, d: int) -> List[LatticePoint]:
 
 
 def contains(P: LatticePolytope, d: int, x: LatticePoint) -> bool:
-    """Membership of x in the closed dilation dP."""
+    """Membership of x in the closed dilation dP, for d >= 0."""
+    if d < 0:
+        raise DegenerateInput("dilation must be nonnegative")
     if len(x) != P.ambient_dim:
         raise DimensionMismatch(
             f"point of length {len(x)} in ambient dimension {P.ambient_dim}"

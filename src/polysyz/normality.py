@@ -46,15 +46,16 @@ def decompose(
     """A decomposition x = p_1 + ... + p_m with p_i in P, or None.
 
     Exhaustive backtracking over the sorted generators with nondecreasing
-    indices, pruning remainders that leave (m-k)P.
+    indices, pruning remainders that leave (m-k)P; it ends at the empty sum,
+    since 0P is the origin.
     """
     if not contains(P, m, x):
         raise ValueError(f"{x} does not lie in {m}P")
     gens = lattice_points(P, 1)
 
     def search(rem: LatticePoint, k: int, start: int):
-        if k == 1:
-            return [rem] if contains(P, 1, rem) else None
+        if k == 0:
+            return []
         for i in range(start, len(gens)):
             g = gens[i]
             nxt = tuple(a - b for a, b in zip(rem, g))

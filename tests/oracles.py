@@ -1,9 +1,11 @@
 """Independent brute-force oracles.
 
-These deliberately avoid the library's computation paths: hull membership
-goes through exact barycentric coordinates (no facet inequalities), areas
-come from a monotone-chain hull plus shoelace, and Betti numbers from dense
-un-blocked strand matrices with Fraction Gaussian elimination.
+These deliberately avoid the library's computation paths and import
+nothing from the package: hull membership goes through exact barycentric
+coordinates (no facet inequalities), areas come from a monotone-chain hull
+plus shoelace, and Betti numbers from dense un-blocked strand matrices.
+One Gauss-Jordan elimination over Fraction, here, serves both the
+barycentric solve and every rank.
 """
 
 from __future__ import annotations
@@ -11,7 +13,38 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from polysyz.intlinalg import solve_rational
+
+def _gauss_jordan(rows):
+    """(reduced row echelon form over Fraction, pivot columns)."""
+    m = [[Fraction(v) for v in r] for r in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [a * inv for a in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def _solve(rows, rhs):
+    """One solution of M x = rhs over Q (free variables 0), or None."""
+    ncols = len(rows[0])
+    m, pivots = _gauss_jordan([list(r) + [b] for r, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [Fraction(0)] * ncols
+    for k, c in enumerate(pivots):
+        x[c] = m[k][ncols]
+    return x
 
 
 def in_hull(vertices, x, d=1):
@@ -21,26 +54,12 @@ def in_hull(vertices, x, d=1):
     n = len(x)
     for k in range(1, min(len(verts), n + 1) + 1):
         for subset in itertools.combinations(verts, k):
-            rows = [[Fraction(v[i]) for v in subset] for i in range(n)]
-            rows.append([Fraction(1)] * k)
-            sol = solve_rational(rows, list(x) + [1])
+            rows = [[v[i] for v in subset] for i in range(n)]
+            rows.append([1] * k)
+            sol = _solve(rows, list(x) + [1])
             if sol is not None and all(l >= 0 for l in sol):
                 return True
     return False
-
-
-def box_scan_count(vertices, d, strict=False):
-    """Count lattice points of d*conv(vertices) by bounding-box scan."""
-    n = len(vertices[0])
-    los = [d * min(v[i] for v in vertices) for i in range(n)]
-    his = [d * max(v[i] for v in vertices) for i in range(n)]
-    pts = []
-    for x in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
-        if in_hull(vertices, x, d):
-            pts.append(x)
-    if strict:
-        raise NotImplementedError
-    return pts
 
 
 def hull_area_twice(points):
@@ -69,44 +88,7 @@ def hull_area_twice(points):
 
 
 def fraction_rank(rows):
-    m = [[Fraction(v) for v in r] for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][c]
-        m[rank] = [a * inv for a in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
-def fraction_det(rows):
-    """Determinant by Gaussian elimination over Fraction, sign-tracked swaps."""
-    m = [[Fraction(v) for v in r] for r in rows]
-    n = len(m)
-    result = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            result = -result
-        result *= m[c][c]
-        for i in range(c + 1, n):
-            f = m[i][c] / m[c][c]
-            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    assert result.denominator == 1
-    return int(result)
+    return len(_gauss_jordan(rows)[1])
 
 
 def dense_betti(ring, i, j):

@@ -84,6 +84,16 @@ class TestBasicCommands:
             data = json.loads(run_ok(runner, ["cohomology", str(point), "--d", d]).stdout)
             assert data["dims"] == {"0": 1} and data["euler"] == 1
 
+    def test_criteria_of_a_point(self, runner, tmp_path):
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({"vertices": [[5, 7]]}))
+        data = json.loads(
+            run_ok(runner, ["criteria", str(point), "--d", "2", "--p", "1"]).stdout
+        )
+        by_name = {c["criterion"]: c["inputs"] for c in data}
+        assert by_name["hilbert_roots"]["r"] == 0
+        assert by_name["polytope_normality"]["r"] == 0
+
     def test_regularity(self, runner):
         data = json.loads(run_ok(runner, ["regularity", CUBIC, "--m", "2"]).stdout)
         assert data["regular"] is True

@@ -53,6 +53,10 @@ def test_r_of_polytope(unit_triangle, cubic_triangle, simplex112):
     assert r_of_polytope(unit_triangle) == 2
     assert r_of_polytope(cubic_triangle) == 0
     assert r_of_polytope(simplex112) == 1
+    # the point is its own interior, so already 1P has an interior point
+    point = normalize_full_dim([(5, 7)])
+    assert r_of_polytope(point) == 0
+    assert integer_root_count(ehrhart_polynomial(point)).r == 0
 
 
 def test_r_matches_root_count(corpus50):

@@ -199,6 +199,12 @@ class TestContains:
         with pytest.raises(DimensionMismatch):
             contains(unit_triangle, 1, (0, 0, 0))
 
+    def test_negative_dilation_refused(self, unit_triangle):
+        # (0, 0) lies in -P, which the facet test cannot see
+        for P, x in ((unit_triangle, (0, 0)), (normalize_full_dim([(5, 7)]), ())):
+            with pytest.raises(DegenerateInput, match="dilation must be nonnegative"):
+                contains(P, -1, x)
+
 
 class TestPick:
     def test_pick_on_corpus(self, corpus2d):

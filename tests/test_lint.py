@@ -2,12 +2,13 @@
 
 Three kinds of dead weight fail the suite: an imported name the module never
 uses, a function parameter (other than self/cls) the function never reads,
-and a module-level function or class, without a decorator, that nothing
-names.  `__init__.py` is exempt from the import check: its imports are the
-public re-exports.  For the same reason a re-export there is not a use.
-A fourth check fails on an import inside a function body: every module
-states what it depends on at its top.  A fifth holds README's Layout block
-to the modules that exist.
+and a module-level function or class, without a decorator, that neither
+the package nor the benchmark names.  A mention in the tests keeps nothing
+alive: a definition that only tests call is dead weight.  The one exemption
+is the public API, the names `__init__.py` re-exports; for the same reason
+`__init__.py` is exempt from the import check.  A fourth check fails on an
+import inside a function body: every module states what it depends on at
+its top.  A fifth holds README's Layout block to the modules that exist.
 """
 
 import ast
@@ -21,10 +22,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "polysyz"
 MODULES = sorted(SRC.glob("*.py"))
 # the files whose mentions count as uses of a package definition
-SCANNED = (
-    [p for p in MODULES if p.name != "__init__.py"]
-    + sorted((ROOT / "tests").glob("*.py"))
-    + sorted((ROOT / "perfbench").glob("*.py"))
+SCANNED = [p for p in MODULES if p.name != "__init__.py"] + sorted(
+    (ROOT / "perfbench").glob("*.py")
 )
 
 
@@ -128,6 +127,15 @@ def unnamed_definitions(tree, elsewhere):
     return unnamed
 
 
+def reexported(tree):
+    """The names an `__init__.py` imports from the package's modules."""
+    return {
+        alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
 @cache
 def _mentions_in(path):
     return frozenset(_mentions(_parse(path)))
@@ -152,7 +160,9 @@ def test_no_function_imports(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unnamed_definitions(path):
-    elsewhere = set().union(*(_mentions_in(p) for p in SCANNED if p != path))
+    elsewhere = reexported(_parse(SRC / "__init__.py")).union(
+        *(_mentions_in(p) for p in SCANNED if p != path)
+    )
     assert unnamed_definitions(_parse(path), elsewhere) == []
 
 
@@ -195,6 +205,25 @@ def test_unnamed_definitions_are_seen():
     )
     elsewhere = _mentions(ast.parse('hooks = ["pkg.mod:hooked", "called"]'))
     assert unnamed_definitions(tree, elsewhere) == [(3, "old_loop"), (14, "Gone")]
+
+
+def test_tests_keep_no_definition_alive():
+    init = ast.parse(
+        '"""Package."""\n'
+        "from .core import (\n    api_call,\n    ApiClass,\n)\n"
+        "__version__ = '1'\n"
+    )
+    assert reexported(init) == {"api_call", "ApiClass"}
+    tree = ast.parse(
+        "def api_call():\n"
+        "    pass\n"
+        "def only_tested():\n"
+        "    pass\n"
+        "class ApiClass:\n"
+        "    pass\n"
+    )
+    assert unnamed_definitions(tree, reexported(init)) == [(3, "only_tested")]
+    assert not any(p.is_relative_to(ROOT / "tests") for p in SCANNED)
 
 
 def test_function_imports_are_seen():

@@ -58,6 +58,13 @@ def test_decompose_examples(cubic_triangle):
     with pytest.raises(ValueError):
         decompose(cubic_triangle, (50, 0), 2)
 
+    # 0P is the origin, and the origin is the empty sum
+    assert decompose(cubic_triangle, (0, 0), 0) == []
+    with pytest.raises(ValueError):
+        decompose(cubic_triangle, (1, 1), 0)
+    with pytest.raises(DegenerateInput, match="dilation must be nonnegative"):
+        decompose(cubic_triangle, (0, 0), -1)
+
 
 def test_sumset_monotone(corpus50):
     for P in corpus50[:8]:
