@@ -84,6 +84,8 @@ def _cache_lookup(cache_dir: Optional[str], key: dict) -> tuple[Optional[str], O
     if os.path.exists(cache_dir) and not os.path.isdir(cache_dir):
         raise DegenerateInput(f"cache directory {cache_dir} is not a directory")
     path = Path(cache_dir) / f"{content_hash(key)}.json"
+    if path.is_dir():
+        raise DegenerateInput(f"cache entry {path} is a directory")
     if path.exists():
         try:
             return path.read_text(), path

@@ -38,13 +38,23 @@ class RootData:
 
 
 def ehrhart_polynomial(P: LatticePolytope) -> EhrhartPolynomial:
-    """Interpolate the counting polynomial through d = 0..dim P.
+    """The counting polynomial of P, computed once per polytope object and
+    kept on it (`LatticePolytope.ehrhart`).
 
-    With D_k the k-th forward difference of the counts at d = 0, the
-    polynomial is sum_k D_k binomial(d, k).  Times n! it is Q_0 in the
-    integer Horner scheme Q_n = D_n, Q_k = (n!/k!) D_k + (d - k) Q_{k+1}, so
-    only the final division by n! leaves the integers.
+    It is interpolated through d = 0..dim P.  With D_k the k-th forward
+    difference of the counts at d = 0, the polynomial is
+    sum_k D_k binomial(d, k).  Times n! it is Q_0 in the integer Horner
+    scheme Q_n = D_n, Q_k = (n!/k!) D_k + (d - k) Q_{k+1}, so only the final
+    division by n! leaves the integers.
     """
+    if P.ehrhart is None:
+        # the field is not part of P's value, so filling it leaves P's
+        # equality and hash as they were
+        object.__setattr__(P, "ehrhart", _interpolate(P))
+    return P.ehrhart
+
+
+def _interpolate(P: LatticePolytope) -> EhrhartPolynomial:
     n = P.dim
     counts = [len(lattice_points(P, d)) for d in range(n + 1)]
     diffs = []

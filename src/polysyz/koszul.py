@@ -17,16 +17,22 @@ regularity is the degree of its h*-polynomial (Bruns-Herzog, Cohen-Macaulay
 Rings, section 6.3).  Every beta_{i,j} with j - i > reg vanishes; those strands
 are zero by theorem and are skipped without building a block.
 
-Blocks are kept in integers.  `build_ring` gives every basis point p of every
-degree the additive code  code(p) = sum_k p_k * M^k  with the radix
-M = 2 * (dim V + dmax) * A + 1, where A is the largest absolute coordinate in
-bases[dmax].  The multidegree u of an element of wedge^q V (x) R_d is a sum of
-at most dim V + dmax points, each coordinate at most A in absolute value, so
-two such multidegrees differ by less than M in every coordinate, and a
-base-M expansion whose digits lie strictly between -M and M is zero only if
-every digit is: the code is injective on every multidegree the engine meets,
-and code(a + b) = code(a) + code(b).  Blocks are keyed by the code of u, a
-basis element is the int k * |R_d| + r (k the position of S in
+The ring builds a degree only when something first reads it, so below the
+clamp the largest degrees, |c*d*P| growing like d^n, are never enumerated.
+Each degree is checked against the Ehrhart polynomial when it is built.
+
+Blocks are kept in integers.  Every basis point p of every degree gets the
+additive code  code(p) = sum_k p_k * M^k  with the radix
+M = 2 * (dim V + dmax) * A + 1, where A = c * dmax * (the largest absolute
+vertex coordinate of P) bounds every coordinate of c * dmax * P, and so of
+every degree; `build_ring` fixes M from the vertices and dim V = h(c) before
+any degree exists.  The multidegree u of an element of wedge^q V (x) R_d is
+a sum of at most dim V + dmax points, each coordinate at most A in absolute
+value, so two such multidegrees differ by less than M in every coordinate,
+and a base-M expansion whose digits lie strictly between -M and M is zero
+only if every digit is: the code is injective on every multidegree the
+engine meets, and code(a + b) = code(a) + code(b).  Blocks are keyed by the
+code of u, a basis element is the int k * |R_d| + r (k the position of S in
 combinations(range(dim V), q), r the index of the ring element), and a
 differential column costs one int add and int-keyed dict lookups per term.
 
@@ -40,7 +46,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import comb
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .ehrhart import ehrhart_polynomial, integer_root_count
 from .errors import ConsistencyError, DegenerateInput, WindowExceeded
@@ -48,70 +54,128 @@ from .lattice import LatticePoint, LatticePolytope, lattice_points
 from .ranks import RankPolicy, rank
 
 
+class RingDegree(NamedTuple):
+    """Degree d of the section ring: the lattice points of c*d*P."""
+
+    basis: Tuple[LatticePoint, ...]
+    index: Dict[LatticePoint, int]
+    # codes[r] is the additive int code of basis[r] (see the module
+    # docstring); code_index maps a code back to its index in basis
+    codes: Tuple[int, ...]
+    code_index: Dict[int, int]
+
+
+class _ByDegree:
+    """ring.bases, ring.index, ring.codes and ring.code_index: item d is one
+    field of ring.degree(d), so reading it builds degree d on first use."""
+
+    def __init__(self, ring: GradedSectionRing, name: str):
+        self.ring = ring
+        self.name = name
+
+    def __getitem__(self, d: int):
+        return getattr(self.ring.degree(d), self.name)
+
+    def __len__(self) -> int:
+        return self.ring.dmax + 1
+
+
 @dataclass(frozen=True)
 class GradedSectionRing:
-    """Section ring of the c-th dilation: bases[d] = lattice points of c*d*P."""
+    """Section ring of the c-th dilation: bases[d] = lattice points of c*d*P.
+
+    Degrees 0..dmax are built on first use, one `RingDegree` each, and
+    memoized on the ring: the Betti numbers below the regularity read only
+    degrees up to reg + 1.  Every degree is checked against the Ehrhart
+    polynomial, and its codes are checked to be distinct, when it is built.
+    """
 
     polytope: LatticePolytope
     c: int
     dmax: int
-    bases: Tuple[Tuple[LatticePoint, ...], ...]
     # Castelnuovo-Mumford regularity of R over Sym V.  R is normal, hence
     # Cohen-Macaulay (Hochster 1972), so reg R = deg h*(cP)
     # = n + 1 - ceil((r(P) + 1) / c) (Bruns-Herzog, section 6.3) and
     # beta_{i,j} = 0 whenever j - i > reg.
     reg: int
-    index: Tuple[Dict[LatticePoint, int], ...] = field(repr=False, hash=False, compare=False)
-    # codes[d][r] is the additive int code of bases[d][r] (see the module
-    # docstring); code_index[d] maps a code back to its index in bases[d]
-    codes: Tuple[Tuple[int, ...], ...] = field(repr=False, hash=False, compare=False)
-    code_index: Tuple[Dict[int, int], ...] = field(repr=False, hash=False, compare=False)
+    # the radix M of the codes (see the module docstring)
+    radix: int
+    # d -> the RingDegree of degree d, filled on first use
+    degrees: Dict[int, RingDegree] = field(
+        default_factory=dict, repr=False, hash=False, compare=False
+    )
     # q -> the wedge table of `_wedge`, filled on first use
     wedges: Dict[int, tuple] = field(
         default_factory=dict, repr=False, hash=False, compare=False
     )
 
+    def degree(self, d: int) -> RingDegree:
+        """Degree d, built and checked on first use."""
+        deg = self.degrees.get(d)
+        if deg is None:
+            if not 0 <= d <= self.dmax:
+                raise IndexError(f"ring degree {d} outside 0..{self.dmax}")
+            P, c, M = self.polytope, self.c, self.radix
+            basis = tuple(lattice_points(P, c * d))
+            expected = ehrhart_polynomial(P)(c * d)
+            if len(basis) != expected:
+                raise ConsistencyError(
+                    f"|bases[{d}]| = {len(basis)} but Ehrhart predicts {expected}"
+                )
+            codes = tuple(sum(x * M**k for k, x in enumerate(p)) for p in basis)
+            if len(set(codes)) != len(codes):
+                raise ConsistencyError(f"two points of bases[{d}] share a code (radix {M})")
+            deg = self.degrees[d] = RingDegree(
+                basis=basis,
+                index={p: k for k, p in enumerate(basis)},
+                codes=codes,
+                code_index={u: k for k, u in enumerate(codes)},
+            )
+        return deg
+
+    @property
+    def bases(self) -> _ByDegree:
+        return _ByDegree(self, "basis")
+
+    @property
+    def index(self) -> _ByDegree:
+        return _ByDegree(self, "index")
+
+    @property
+    def codes(self) -> _ByDegree:
+        return _ByDegree(self, "codes")
+
+    @property
+    def code_index(self) -> _ByDegree:
+        return _ByDegree(self, "code_index")
+
     @property
     def dim_V(self) -> int:
-        return len(self.bases[1])
+        return len(self.degree(1).basis)
 
     def dim(self, d: int) -> int:
         if d < 0:
             return 0
-        return len(self.bases[d])
+        return len(self.degree(d).basis)
 
 
 def build_ring(P: LatticePolytope, c: int, dmax: int) -> GradedSectionRing:
+    """The section ring of cP through degree dmax; no degree is built yet."""
     if c < 1 or dmax < 1:
         raise DegenerateInput("need c >= 1 and dmax >= 1")
-    bases = tuple(tuple(lattice_points(P, c * d)) for d in range(dmax + 1))
     h = ehrhart_polynomial(P)
-    for d, b in enumerate(bases):
-        if len(b) != h(c * d):
-            raise ConsistencyError(
-                f"|bases[{d}]| = {len(b)} but Ehrhart predicts {h(c * d)}"
-            )
-    index = tuple({p: k for k, p in enumerate(b)} for b in bases)
-    M = _radix(bases, dmax)
-    codes = tuple(
-        tuple(sum(x * M**k for k, x in enumerate(p)) for p in b) for b in bases
-    )
-    for d, cs in enumerate(codes):
-        if len(set(cs)) != len(cs):
-            raise ConsistencyError(f"two points of bases[{d}] share a code (radix {M})")
-    code_index = tuple({u: k for k, u in enumerate(cs)} for cs in codes)
     r = integer_root_count(h).r
     reg = h.degree + 1 - (r + c) // c
-    return GradedSectionRing(
-        polytope=P, c=c, dmax=dmax, bases=bases, reg=reg, index=index,
-        codes=codes, code_index=code_index,
-    )
+    # h(c) = dim V, which the Ehrhart check of degree 1 confirms on first use
+    radix = _radix(P, c, dmax, int(h(c)))
+    return GradedSectionRing(polytope=P, c=c, dmax=dmax, reg=reg, radix=radix)
 
 
-def _radix(bases, dmax: int) -> int:
-    """M = 2 * (dim V + dmax) * A + 1, A the largest |coordinate| in bases[dmax]."""
-    A = max((abs(x) for p in bases[dmax] for x in p), default=0)
-    return 2 * (len(bases[1]) + dmax) * A + 1
+def _radix(P: LatticePolytope, c: int, dmax: int, dim_V: int) -> int:
+    """M = 2 * (dim V + dmax) * A + 1, A = c * dmax * (largest |vertex
+    coordinate| of P), which bounds every coordinate of c * dmax * P."""
+    A = c * dmax * max((abs(x) for v in P.vertices for x in v), default=0)
+    return 2 * (dim_V + dmax) * A + 1
 
 
 @dataclass(frozen=True)
@@ -153,7 +217,7 @@ def _wedge(ring: GradedSectionRing, q: int):
     table = ring.wedges.get(q)
     if table is None:
         n = ring.dim_V
-        gen_codes = ring.codes[1]
+        gen_codes = ring.degree(1).codes
         smaller = itertools.combinations(range(n), max(q - 1, 0))
         position = {S: k for k, S in enumerate(smaller)}
         codes, faces = [], []
@@ -172,7 +236,7 @@ def _level_blocks(ring: GradedSectionRing, q: int, d: int):
     blocks: Dict[int, List[int]] = {}
     if q < 0 or d < 0 or q > ring.dim_V or d > ring.dmax:
         return blocks
-    level = ring.codes[d]
+    level = ring.degree(d).codes
     e = 0  # = k * len(level) + r
     for s_code in _wedge(ring, q)[0]:
         for p_code in level:
@@ -196,9 +260,9 @@ def _differential_columns(ring, elements, q, d_source, targets):
     """
     target_pos = {e: k for k, e in enumerate(targets)}
     faces = _wedge(ring, q)[1]
-    gen_codes = ring.codes[1]
-    src_codes = ring.codes[d_source]
-    tgt_index = ring.code_index[d_source + 1]
+    gen_codes = ring.degree(1).codes
+    src_codes = ring.degree(d_source).codes
+    tgt_index = ring.degree(d_source + 1).code_index
     n_src = len(src_codes)
     n_tgt = len(tgt_index)
     cols = []

@@ -8,9 +8,9 @@ share the facet normals (the offset scales with the dilation factor).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul, sub
-from typing import Iterable, List, Tuple
+from typing import Any, Iterable, List, Tuple
 
 from .errors import DegenerateInput, DimensionMismatch
 from .intlinalg import exact_rank, kernel_basis, solve_in_hnf_basis
@@ -35,6 +35,9 @@ class LatticePolytope:
     facets: Tuple[HalfSpace, ...]
     ambient_dim: int
     dim: int
+    # the Ehrhart polynomial, stored by `ehrhart.ehrhart_polynomial` on first
+    # use; it is not part of the polytope's value, its repr or its hash
+    ehrhart: Any = field(default=None, init=False, repr=False, hash=False, compare=False)
 
     @classmethod
     def from_points(cls, points: Iterable[LatticePoint]) -> "LatticePolytope":

@@ -47,10 +47,10 @@ def decompose(
 
     Exhaustive backtracking over the sorted generators with nondecreasing
     indices, pruning remainders that leave (m-k)P; it ends at the empty sum,
-    since 0P is the origin.
+    since 0P is the origin.  Raises DegenerateInput if x is not in mP.
     """
     if not contains(P, m, x):
-        raise ValueError(f"{x} does not lie in {m}P")
+        raise DegenerateInput(f"{x} does not lie in {m}P")
     gens = lattice_points(P, 1)
 
     def search(rem: LatticePoint, k: int, start: int):

@@ -368,6 +368,19 @@ class TestInputRules:
         assert result.stderr == f"error: cache directory {file} is not a directory\n"
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("cmd", ["betti", "np"])
+    def test_cache_entry_that_is_a_directory(self, runner, tmp_path, cmd):
+        args = [cmd, TRIANGLE, "--max-slope", "1", "--cache-dir", str(tmp_path)]
+        run_ok(runner, args)
+        [entry] = tmp_path.iterdir()
+        entry.unlink()
+        entry.mkdir()
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 2
+        assert result.stderr == f"error: cache entry {entry} is a directory\n"
+        assert result.stdout == ""
+        assert entry.is_dir() and not any(entry.iterdir())
+
 
 class TestDeterminism:
     def test_corpus_reproducible(self, runner, tmp_path):

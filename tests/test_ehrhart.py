@@ -31,6 +31,17 @@ def test_cubic_triangle_polynomial(cubic_triangle):
     assert h.coeffs == (Fraction(1), Fraction(3, 2), Fraction(3, 2))
 
 
+def test_one_polynomial_per_polytope(cubic_triangle):
+    P = LatticePolytope.from_points(cubic_triangle.vertices)
+    fresh = LatticePolytope.from_points(cubic_triangle.vertices)
+    assert P.ehrhart is None  # from_points leaves it to the first use
+    h = ehrhart_polynomial(P)
+    assert ehrhart_polynomial(P) is h
+    # the filled memo is not part of the polytope's value
+    assert fresh.ehrhart is None
+    assert P == fresh and hash(P) == hash(fresh) and repr(P) == repr(fresh)
+
+
 def test_unit_square_polynomial(unit_square):
     h = ehrhart_polynomial(unit_square)
     assert [h(d) for d in range(5)] == [(d + 1) ** 2 for d in range(5)]

@@ -48,6 +48,47 @@ class TestBuildRing:
                     assert s in ring.index[a + 1]
 
 
+class TestDegreesOnFirstUse:
+    @staticmethod
+    def spy_dilations(monkeypatch, drop_at=None):
+        """Record every dilation the ring enumerates; at `drop_at`, lose a point."""
+        seen = []
+
+        def spy(P, d):
+            seen.append(d)
+            pts = lattice_points(P, d)
+            return pts[:-1] if d == drop_at else pts
+
+        monkeypatch.setattr(koszul, "lattice_points", spy)
+        return seen
+
+    def test_clamped_window_reads_at_most_reg_plus_one(self, cubic_triangle, monkeypatch):
+        seen = self.spy_dilations(monkeypatch)
+        ring = build_ring(cubic_triangle, 1, 5)
+        assert seen == []
+        # slope 1 <= reg = 2, then slope 4, whose strands above reg are clamped
+        for max_i, max_slope in [(1, 1), (2, 4)]:
+            table = betti_table(ring, max_i, max_slope)
+            assert k_polynomial_checksum(table)
+            np_level(ring, max_i, max_slope, table=table)
+        assert ring.reg == 2 and max(seen) == ring.c * (ring.reg + 1)
+        assert len(seen) == len(set(seen))  # each degree is built once
+
+    def test_late_degree_is_still_checked(self, cubic_triangle, monkeypatch):
+        self.spy_dilations(monkeypatch, drop_at=3)
+        ring = build_ring(cubic_triangle, 1, 4)
+        assert [ring.dim(d) for d in range(3)] == [1, 4, 10]
+        with pytest.raises(ConsistencyError, match="Ehrhart predicts"):
+            ring.bases[3]
+
+    def test_degrees_outside_the_ring(self, cubic_triangle):
+        ring = build_ring(cubic_triangle, 1, 2)
+        assert len(ring.bases) == 3 and ring.dim(-1) == 0
+        for d in (-1, 3):
+            with pytest.raises(IndexError):
+                ring.bases[d]
+
+
 class TestCodes:
     def test_codes_are_additive(self, simplex112):
         ring = build_ring(simplex112, 2, 3)
@@ -67,13 +108,16 @@ class TestCodes:
             reach = ring.dim_V * max(abs(x) for p in ring.bases[1] for x in p) + max(
                 abs(x) for p in ring.bases[ring.dmax] for x in p
             )
-            assert koszul._radix(ring.bases, ring.dmax) > 2 * reach
+            assert ring.radix == koszul._radix(P, ring.c, ring.dmax, ring.dim_V)
+            assert ring.radix > 2 * reach
 
     def test_collision_is_refused(self, cubic_triangle, monkeypatch):
         # radix 1 codes a point by its coordinate sum: (0, 1) and (1, 0) collide
-        monkeypatch.setattr(koszul, "_radix", lambda bases, dmax: 1)
+        monkeypatch.setattr(koszul, "_radix", lambda P, c, dmax, dim_V: 1)
+        ring = build_ring(cubic_triangle, 1, 2)
+        assert ring.codes[0] == (0,)
         with pytest.raises(ConsistencyError, match="share a code"):
-            build_ring(cubic_triangle, 1, 2)
+            ring.codes[1]
 
     @pytest.mark.parametrize("shift", [(10**6, -(10**6)), (-(10**6), 10**6 + 3)])
     def test_translated_cubic(self, cubic_triangle, shift):

@@ -55,12 +55,14 @@ def test_decompose_examples(cubic_triangle):
     for g in lattice_points(cubic_triangle, 1):
         assert decompose(cubic_triangle, g, 1) == [g]
 
-    with pytest.raises(ValueError):
+    # a point outside mP is bad input, still a ValueError for library callers
+    with pytest.raises(DegenerateInput, match=r"\(50, 0\) does not lie in 2P"):
         decompose(cubic_triangle, (50, 0), 2)
+    assert issubclass(DegenerateInput, ValueError)
 
     # 0P is the origin, and the origin is the empty sum
     assert decompose(cubic_triangle, (0, 0), 0) == []
-    with pytest.raises(ValueError):
+    with pytest.raises(DegenerateInput, match="does not lie in 0P"):
         decompose(cubic_triangle, (1, 1), 0)
     with pytest.raises(DegenerateInput, match="dilation must be nonnegative"):
         decompose(cubic_triangle, (0, 0), -1)
