@@ -3,9 +3,9 @@
 These deliberately avoid the library's computation paths and import
 nothing from the package: hull membership goes through exact barycentric
 coordinates (no facet inequalities), areas come from a monotone-chain hull
-plus shoelace, and Betti numbers from dense un-blocked strand matrices.
-One Gauss-Jordan elimination over Fraction, here, serves both the
-barycentric solve and every rank.
+plus shoelace, and Betti numbers and d∘d = 0 from dense un-blocked strand
+matrices.  One Gauss-Jordan elimination over Fraction, here, serves both
+the barycentric solve and every rank.
 """
 
 from __future__ import annotations
@@ -91,42 +91,61 @@ def fraction_rank(rows):
     return len(_gauss_jordan(rows)[1])
 
 
+def _level(ring, q, d):
+    """The basis (S, r) of wedge^q V (x) R_d, un-blocked; [] if it does not exist."""
+    nv = len(ring.bases[1])
+    if q < 0 or d < 0 or q > nv or d > ring.dmax:
+        return []
+    return [
+        (S, r)
+        for S in itertools.combinations(range(nv), q)
+        for r in range(len(ring.bases[d]))
+    ]
+
+
+def _matrix(ring, src_elts, q, d):
+    """Dense differential wedge^q V (x) R_d -> wedge^{q-1} V (x) R_{d+1},
+    rows in the order of `_level(ring, q - 1, d + 1)`."""
+    gens = ring.bases[1]
+    tgt = _level(ring, q - 1, d + 1)
+    pos = {e: k for k, e in enumerate(tgt)}
+    idx = {p: k for k, p in enumerate(ring.bases[d + 1])}
+    rows = [[0] * len(src_elts) for _ in range(len(tgt))]
+    for col, (S, r) in enumerate(src_elts):
+        pt = ring.bases[d][r]
+        for k, s in enumerate(S):
+            sign = 1 if k % 2 == 0 else -1
+            prod = tuple(a + b for a, b in zip(pt, gens[s]))
+            row = pos[(S[:k] + S[k + 1 :], idx[prod])]
+            rows[row][col] += sign
+    return rows
+
+
 def dense_betti(ring, i, j):
     """beta_{i,j} from full (un-blocked) dense strand matrices."""
-    gens = ring.bases[1]
-    nv = len(gens)
-
-    def level(q, d):
-        if q < 0 or d < 0 or q > nv or d > ring.dmax:
-            return []
-        return [
-            (S, r)
-            for S in itertools.combinations(range(nv), q)
-            for r in range(len(ring.bases[d]))
-        ]
-
-    def matrix(src_elts, q, d):
-        """Differential wedge^q V (x) R_d -> wedge^{q-1} V (x) R_{d+1}."""
-        tgt = level(q - 1, d + 1)
-        pos = {e: k for k, e in enumerate(tgt)}
-        idx = {p: k for k, p in enumerate(ring.bases[d + 1])}
-        rows = [[0] * len(src_elts) for _ in range(len(tgt))]
-        for col, (S, r) in enumerate(src_elts):
-            pt = ring.bases[d][r]
-            for k, s in enumerate(S):
-                sign = 1 if k % 2 == 0 else -1
-                prod = tuple(a + b for a, b in zip(pt, gens[s]))
-                row = pos[(S[:k] + S[k + 1 :], idx[prod])]
-                rows[row][col] += sign
-        return rows
-
-    mid = level(i, j - i)
+    mid = _level(ring, i, j - i)
     if not mid:
         return 0
-    rank_out = fraction_rank(matrix(mid, i, j - i)) if i >= 1 else 0
-    src = level(i + 1, j - i - 1)
-    rank_in = fraction_rank(matrix(src, i + 1, j - i - 1)) if src else 0
+    rank_out = fraction_rank(_matrix(ring, mid, i, j - i)) if i >= 1 else 0
+    src = _level(ring, i + 1, j - i - 1)
+    rank_in = fraction_rank(_matrix(ring, src, i + 1, j - i - 1)) if src else 0
     return len(mid) - rank_out - rank_in
+
+
+def dense_compose_is_zero(ring, i, j):
+    """Whether the product of the strand's two dense, un-blocked
+    differentials wedge^{i+1} V (x) R_{j-i-1} -> wedge^{i-1} V (x) R_{j-i+1}
+    is the zero matrix."""
+    src = _level(ring, i + 1, j - i - 1)
+    if i < 1 or not src:
+        return True
+    incoming = _matrix(ring, src, i + 1, j - i - 1)
+    outgoing = _matrix(ring, _level(ring, i, j - i), i, j - i)
+    return all(
+        sum(a * b for a, b in zip(row, col)) == 0
+        for row in outgoing
+        for col in zip(*incoming)
+    )
 
 
 def brute_decompositions(gens, x, m):

@@ -1,5 +1,5 @@
 import random
-from math import ceil
+from math import ceil, comb
 
 import pytest
 
@@ -23,7 +23,7 @@ from polysyz.ehrhart import r_of_polytope
 from polysyz.intlinalg import exact_rank
 from polysyz.koszul import _strand_betti
 
-from .oracles import dense_betti
+from .oracles import dense_betti, dense_compose_is_zero
 
 
 class TestBuildRing:
@@ -262,41 +262,53 @@ class TestKoszulBetti:
 
 
 class TestComplexIntegrity:
-    def test_differential_squares_to_zero(self, cubic_triangle, simplex112):
-        for ring in (build_ring(cubic_triangle, 1, 5), build_ring(simplex112, 1, 5)):
-            for i in range(1, 4):
+    def test_differential_squares_to_zero(self, cubic_triangle, simplex112, unit_square):
+        # the grouped check and the product of the dense strand matrices agree
+        for P in (cubic_triangle, simplex112, unit_square):
+            ring = build_ring(P, 1, 5)
+            for i in range(4):
                 for j in range(i, i + 4):
                     assert compose_is_zero(ring, i, j)
+                    assert dense_compose_is_zero(ring, i, j)
 
-    # compose_is_zero builds each block's incoming map (call 0), then its
-    # outgoing map (call 1); one sign flipped in either must be caught
-    @pytest.mark.parametrize("j, call", [
-        pytest.param(2, 0, id="2"),
-        pytest.param(3, 0, id="3"),
+    # one face sign flipped in the wedge table of the incoming map (source
+    # wedge degree q = i + 1) or of the outgoing one (q = i) must be caught,
+    # and the rank path, which reads the same table, must see the flip too
+    @pytest.mark.parametrize("j, q", [
+        pytest.param(2, 2, id="2"),
+        pytest.param(3, 2, id="3"),
         pytest.param(2, 1, id="2-outgoing"),
         pytest.param(3, 1, id="3-outgoing"),
     ])
-    def test_wrong_sign_is_caught(self, cubic_triangle, monkeypatch, j, call):
+    def test_wrong_sign_is_caught(self, cubic_triangle, j, q):
         ring = build_ring(cubic_triangle, 1, 4)
         assert compose_is_zero(ring, 1, j)
-        original = koszul._differential_columns
-        calls = []
-        flipped = []
-
-        def one_wrong_sign(*args):
-            cols = original(*args)
-            calls.append(args)
-            if len(calls) == call + 1:
-                row, v = next(iter(cols[0].items()))
-                cols[0][row] = -v
-                flipped.append(row)
-            return cols
-
-        monkeypatch.setattr(koszul, "_differential_columns", one_wrong_sign)
+        d = j - q  # the ring degree of the map's source
+        targets = range(comb(ring.dim_V, q - 1) * ring.dim(d + 1))
+        before = koszul._differential_columns(ring, [0], q, d, targets)
+        faces = ring.wedges[q][1]
+        (sign, s, k2), *rest = faces[0]
+        faces[0] = ((-sign, s, k2), *rest)
         assert compose_is_zero(ring, 1, j) is False
-        assert len(flipped) == 1
-        # the source wedge degree q of the flipped map: i + 1 in, i out
-        assert calls[call][2] == 2 - call
+        assert koszul._differential_columns(ring, [0], q, d, targets) != before
+
+    # two entries of one row of the shift table x_0 * (-): R_d -> R_{d+1}
+    # swapped, at the first (d = j - 2) or second (d = j - 1) step of x_t x_s r
+    @pytest.mark.parametrize("j, d", [(2, 1), (3, 1), (3, 2)])
+    def test_swapped_shift_is_caught(self, cubic_triangle, j, d):
+        ring = build_ring(cubic_triangle, 1, 4)
+        assert compose_is_zero(ring, 1, j)
+        table = ring.shifts[d]
+        row = list(table[0])
+        row[0], row[1] = row[1], row[0]
+        ring.shifts[d] = (tuple(row),) + table[1:]
+        assert compose_is_zero(ring, 1, j) is False
+
+    def test_negative_degrees_refused(self, cubic_triangle):
+        ring = build_ring(cubic_triangle, 1, 4)
+        for i, j in ((-1, 2), (1, -1), (-1, -1)):
+            with pytest.raises(DegenerateInput):
+                compose_is_zero(ring, i, j)
 
     def test_checksum(self, cubic_triangle, unit_square, unit_triangle):
         for P in (cubic_triangle, unit_square, unit_triangle):

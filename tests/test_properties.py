@@ -8,10 +8,10 @@ cache out of the working tree.
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polysyz import betti_table, build_ring, koszul_betti, lattice_points
+from polysyz import betti_table, build_ring, compose_is_zero, koszul_betti, lattice_points
 from polysyz.lattice import normalize_full_dim
 
-from .oracles import dense_betti
+from .oracles import dense_betti, dense_compose_is_zero
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
@@ -52,6 +52,17 @@ def test_koszul_matches_dense_oracle(P):
     for i in range(3):
         for j in range(i, i + 3):
             assert koszul_betti(ring, i, j) == dense_betti(ring, i, j), (i, j)
+
+
+@settings(PROPERTY, max_examples=30)
+@given(polygons(bound=2, max_points=5))
+def test_compose_matches_dense_oracle(P):
+    # c = 1, i <= 3, j - i <= 2: the grouped d o d check against the product
+    # of the dense strand matrices
+    ring = build_ring(P, 1, 3)
+    for i in range(4):
+        for j in range(i, i + 3):
+            assert compose_is_zero(ring, i, j) == dense_compose_is_zero(ring, i, j), (i, j)
 
 
 @settings(PROPERTY, max_examples=40)
