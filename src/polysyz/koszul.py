@@ -15,7 +15,25 @@ The section ring R of cP is the Ehrhart ring of cP: a normal affine semigroup
 ring, hence Cohen-Macaulay (Hochster 1972), so its Castelnuovo-Mumford
 regularity is the degree of its h*-polynomial (Bruns-Herzog, Cohen-Macaulay
 Rings, section 6.3).  Every beta_{i,j} with j - i > reg vanishes; those strands
-are zero by theorem and are skipped without building a block.
+are zero by theorem and are skipped without building a block.  Being
+Cohen-Macaulay of Krull dimension dim P + 1, R has projective dimension
+pd = dim V - dim P - 1 over Sym V (Auslander-Buchsbaum), so every strand with
+i > pd is skipped too.
+
+The block of multidegree u is the chain complex of the simplicial complex
+Delta_u = {F subset V : u - sum F in the semigroup}, up to signs and a shift:
+an element e_S (x) r of the block is the face S, r being u - sum S, so
+beta_{i,(j,u)} = dim H~_{i-1}(Delta_u) (Bruns-Herzog, JPAA 1997;
+Miller-Sturmfels, Combinatorial Commutative Algebra, ch. 9).  Delta_u is closed
+under subsets, so for a generator v the map T -> T - {v} sends the source faces
+(size i + 1) that hold v injectively into the middle faces (size i) that lack
+v.  When the two sets have the same size the map is onto: every middle face S
+without v has S + {v} in Delta_u, and the block is a cone at level i.  Then
+every middle cycle z is a boundary: with z0 its part without v,
+z - d(v * z0) holds only faces with v, and a cycle whose faces all hold v is
+0 (its boundary keeps each face minus v once).  Such a block adds 0 to beta
+and neither of its maps is built or ranked (`_is_cone`); the counts cost O(i)
+per element, read from the wedge tables.
 
 The ring builds a degree only when something first reads it, so below the
 clamp the largest degrees, |c*d*P| growing like d^n, are never enumerated.
@@ -170,6 +188,13 @@ class GradedSectionRing:
     @property
     def dim_V(self) -> int:
         return len(self.degree(1).basis)
+
+    @property
+    def pd(self) -> int:
+        """Projective dimension of R over Sym V.  R is Cohen-Macaulay of
+        Krull dimension dim P + 1, so by Auslander-Buchsbaum
+        pd R = dim V - dim P - 1 and beta_{i,j} = 0 whenever i > pd."""
+        return self.dim_V - self.polytope.dim - 1
 
     def dim(self, d: int) -> int:
         if d < 0:
@@ -328,32 +353,59 @@ def koszul_betti(
     j: int,
     policy: RankPolicy = RankPolicy(),
 ) -> int:
-    """dim Tor_i(R,k)_j; zero without computation above the regularity."""
+    """dim Tor_i(R,k)_j; zero without computation above the regularity
+    or beyond the projective dimension."""
     if i < 0 or j < 0:
         raise DegenerateInput("i, j must be nonnegative")
     if i > ring.dim_V or j < i:
         return 0
     _check_window(ring, i, j)
-    if j - i > ring.reg:
+    if j - i > ring.reg or i > ring.pd:
         return 0
     return _strand_betti(ring, i, j, policy)
+
+
+def _is_cone(ring: GradedSectionRing, i: int, j: int, mid, src) -> bool:
+    """True when some generator v has #{middle faces without v} equal to
+    #{source faces with v}: then Delta_u is a cone at level i over v and the
+    block's homology is zero (module docstring).  `mid` and `src` are the
+    block's elements of wedge^i V (x) R_{j-i} and wedge^{i+1} V (x) R_{j-i-1}.
+    """
+    # count[v] = #{middle faces with v} + #{source faces with v}, which is
+    # len(mid) exactly when #{middle faces without v} = #{source faces with v}
+    count = [0] * ring.dim_V
+    for q, elements in ((i, mid), (i + 1, src)):
+        if elements:
+            faces, n = _wedge(ring, q)[1], ring.dim(j - q)
+            for e in elements:
+                for _, s, _ in faces[e // n]:
+                    count[s] += 1
+    return len(mid) in count
 
 
 def _strand_betti(ring: GradedSectionRing, i: int, j: int, policy: RankPolicy) -> int:
     """dim ker(outgoing) - rank(incoming), summed over the strand's blocks.
 
-    The three levels are split into blocks once; a missing level has none.
+    The levels are split into blocks once; a missing level has none.  A
+    block whose Delta_u is a cone (`_is_cone`) adds 0 by theorem and builds
+    no differential, and the target level is split only if some block is
+    not a cone.
     """
     certify = policy.certify
     src = _level_blocks(ring, i + 1, j - i - 1)
-    tgt = _level_blocks(ring, i - 1, j - i + 1)
+    tgt = None
     total = 0
     for u, mid_elts in _level_blocks(ring, i, j - i).items():
+        src_elts = src.get(u)
+        if _is_cone(ring, i, j, mid_elts, src_elts):
+            continue
+        if tgt is None:
+            tgt = _level_blocks(ring, i - 1, j - i + 1)
         n_mid = len(mid_elts)
         # the outgoing map, then the incoming one; a map with no source or
         # no target element has rank 0
         ranks = [0, 0]
-        maps = ((mid_elts, i, tgt.get(u)), (src.get(u), i + 1, mid_elts))
+        maps = ((mid_elts, i, tgt.get(u)), (src_elts, i + 1, mid_elts))
         for k, (elts, q, targets) in enumerate(maps):
             if elts and targets:
                 cols = _differential_columns(ring, elts, q, j - q, targets)

@@ -1,5 +1,7 @@
+import itertools
 import random
 from math import ceil, comb
+from pathlib import Path
 
 import pytest
 
@@ -22,8 +24,11 @@ from polysyz import koszul
 from polysyz.ehrhart import r_of_polytope
 from polysyz.intlinalg import exact_rank
 from polysyz.koszul import _strand_betti
+from polysyz.serialize import load_polytope
 
 from .oracles import dense_betti, dense_compose_is_zero
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 class TestBuildRing:
@@ -178,6 +183,152 @@ class TestRegularity:
                         assert _strand_betti(ring, i, i + slope, RankPolicy()) == 0
                         checked += 1
         assert checked > 0
+
+
+class TestProjectiveDimension:
+    def test_fixtures(self, unit_triangle, unit_square, cubic_triangle, simplex112):
+        # pd R = dim V - dim P - 1: the polynomial ring, a quadric and a
+        # cubic hypersurface; at c = 1 the (1,1,2)-simplex has only its 4
+        # vertices, so R = S + S(-2) is free over S = Sym V
+        cases = [
+            (unit_triangle, 1, 0),
+            (unit_square, 1, 1),
+            (cubic_triangle, 1, 1),
+            (cubic_triangle, 2, 7),
+            (simplex112, 1, 0),
+        ]
+        for P, c, pd in cases:
+            assert build_ring(P, c, 1).pd == pd
+
+    def test_unclamped_strands_vanish(self, corpus50):
+        # the engine never builds strands with i > pd below the regularity;
+        # check that the theorem holds on them
+        checked = 0
+        for P in corpus50:
+            for c in (1, 2):
+                if len(lattice_points(P, c)) > 10:  # dim_V of the ring
+                    continue
+                ring = build_ring(P, c, P.dim + 3)
+                for i in range(ring.pd + 1, min(ring.pd + 2, ring.dim_V) + 1):
+                    for slope in range(min(ring.reg, P.dim + 1) + 1):
+                        assert _strand_betti(ring, i, i + slope, RankPolicy()) == 0
+                        assert koszul_betti(ring, i, i + slope) == 0
+                        checked += 1
+        assert checked > 100
+
+    def test_window_is_checked_first(self, unit_triangle):
+        # i > pd still needs the window, as every strand up to dim V does;
+        # beyond dim V the strand is 0 with no window check, as before
+        ring = build_ring(unit_triangle, 1, 2)
+        assert ring.pd == 0 and ring.dim_V == 3
+        assert koszul_betti(ring, 1, 2) == 0
+        with pytest.raises(WindowExceeded):
+            koszul_betti(ring, 1, 3)
+        assert koszul_betti(ring, 4, 9) == 0
+
+
+def _delta_faces(ring, u, q, j):
+    """The q-faces F of Delta_u = {F : u - sum F in the semigroup} in degree
+    j, found from the lattice points, not from the codes."""
+    if not 0 <= j - q <= ring.dmax:
+        return set()
+    points = ring.index[j - q]
+    gens = ring.bases[1]
+    faces = set()
+    for F in itertools.combinations(range(ring.dim_V), q):
+        w = tuple(x - sum(gens[s][k] for s in F) for k, x in enumerate(u))
+        if w in points:
+            faces.add(frozenset(F))
+    return faces
+
+
+def _cone_blocks(ring, i, j):
+    """(u, is cone, block Betti number by Bareiss on both maps, the block's
+    elements of the middle and source levels) for each block of strand
+    (i, j), every map ranked whether or not the block is a cone."""
+    src = koszul._level_blocks(ring, i + 1, j - i - 1)
+    tgt = koszul._level_blocks(ring, i - 1, j - i + 1)
+    for u, mid in koszul._level_blocks(ring, i, j - i).items():
+        b = len(mid)
+        for elts, q, targets in ((mid, i, tgt.get(u)), (src.get(u), i + 1, mid)):
+            if elts and targets:
+                cols = koszul._differential_columns(ring, elts, q, j - q, targets)
+                b -= exact_rank(koszul._dense(cols, len(targets)))
+        yield u, koszul._is_cone(ring, i, j, mid, src.get(u)), b, mid, src.get(u)
+
+
+class TestConeSkip:
+    # the data files at c = 1 and 2, with the window each is checked in
+    WINDOWS = [
+        ("cubic_triangle", 1, 3, 3),
+        ("cubic_triangle", 2, 2, 2),
+        ("simplex_112", 1, 3, 3),
+        ("simplex_112", 2, 2, 2),
+        ("unit_square", 1, 3, 3),
+        ("unit_square", 2, 2, 2),
+        ("unit_triangle", 1, 3, 3),
+        ("unit_triangle", 2, 2, 2),
+    ]
+
+    @staticmethod
+    def _rings(corpus50):
+        for name, c, max_i, max_slope in TestConeSkip.WINDOWS:
+            P = load_polytope(str(DATA / f"{name}.json"))
+            yield name, c, build_ring(P, c, max_slope + 2), max_i, max_slope
+        # every fifth corpus polytope at c = 1, small rings only
+        for k, P in enumerate(corpus50[::5]):
+            if len(lattice_points(P, 1)) <= 10:
+                yield f"corpus{k}", 1, build_ring(P, 1, P.dim + 3), 2, P.dim + 1
+
+    def test_skipped_blocks_are_zero(self, corpus50):
+        skipped = kept_nonzero = 0
+        for name, c, ring, max_i, max_slope in self._rings(corpus50):
+            for i in range(max_i + 1):
+                for j in range(i, i + max_slope + 1):
+                    for u, cone, b, _, _ in _cone_blocks(ring, i, j):
+                        assert b >= 0
+                        if cone:
+                            assert b == 0, (name, c, i, j, u)
+                            skipped += 1
+                        elif b and (name, c) == ("cubic_triangle", 1):
+                            kept_nonzero += 1
+        assert skipped > 1000
+        # the cubic c = 1 window's two nonzero blocks, beta_{0,0} and
+        # beta_{1,3} of the cubic hypersurface, were both kept
+        assert kept_nonzero == 2
+
+    def test_cone_test_matches_its_definition(self, cubic_triangle, simplex112):
+        # _is_cone counts; the definition asks for a v such that every middle
+        # face without v gains v inside the source level
+        seen = set()
+        for P, c, max_i, max_slope in ((cubic_triangle, 1, 3, 3),
+                                       (cubic_triangle, 2, 2, 2),
+                                       (simplex112, 1, 3, 3)):
+            ring = build_ring(P, c, max_slope + 2)
+            n = ring.dim_V
+            for i in range(max_i + 1):
+                subsets = list(itertools.combinations(range(n), i))
+                for j in range(i, i + max_slope + 1):
+                    for _, cone, _, mid, src in _cone_blocks(ring, i, j):
+                        k, r = divmod(mid[0], ring.dim(j - i))
+                        point = ring.bases[j - i][r]
+                        u = tuple(
+                            x + sum(ring.bases[1][s][a] for s in subsets[k])
+                            for a, x in enumerate(point)
+                        )
+                        mid_faces = _delta_faces(ring, u, i, j)
+                        src_faces = _delta_faces(ring, u, i + 1, j)
+                        assert len(mid_faces) == len(mid)
+                        assert len(src_faces) == len(src or ())
+                        apexes = [
+                            v for v in range(n)
+                            if all(F | {v} in src_faces for F in mid_faces if v not in F)
+                        ]
+                        assert cone == bool(apexes)
+                        # whether some apex misses a middle face, which a
+                        # count of the middle level alone would not see
+                        seen.add((cone, any(v not in F for v in apexes for F in mid_faces)))
+        assert seen >= {(True, True), (False, False)}
 
 
 class TestKoszulBetti:
