@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import cached_property
+from math import factorial, lcm
 from typing import Tuple
 
 from .errors import ConsistencyError
@@ -24,11 +25,20 @@ class EhrhartPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
+    @cached_property
+    def _scaled(self) -> Tuple[Tuple[int, ...], int]:
+        """The coefficients times their common denominator, highest degree
+        first, and that denominator, which divides n! for n the degree."""
+        den = lcm(*(c.denominator for c in self.coeffs))
+        return tuple(c.numerator * (den // c.denominator) for c in reversed(self.coeffs)), den
+
     def __call__(self, d: int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        """h(d) by integer Horner on the scaled coefficients, then one division."""
+        nums, den = self._scaled
+        acc = 0
+        for c in nums:
             acc = acc * d + c
-        return acc
+        return Fraction(acc, den)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,12 @@ Rings, section 6.3).  Every beta_{i,j} with j - i > reg vanishes; those strands
 are zero by theorem and are skipped without building a block.  Being
 Cohen-Macaulay of Krull dimension dim P + 1, R has projective dimension
 pd = dim V - dim P - 1 over Sym V (Auslander-Buchsbaum), so every strand with
-i > pd is skipped too.
+i > pd is skipped too.  R is generated in degree 1 and R_1 = V, so its ideal
+I in Sym V holds no linear form.  In the minimal free resolution F of R,
+F_1 has a basis mapping to minimal generators of I, so none in degree 1, and
+the least basis degree of F_i rises strictly with i, so F_i has none in
+degree i.  Hence beta_{i,i} = 0 for every i >= 1, and that strand is skipped
+as well.
 
 The block of multidegree u is the chain complex of the simplicial complex
 Delta_u = {F subset V : u - sum F in the semigroup}, up to signs and a shift:
@@ -353,14 +358,14 @@ def koszul_betti(
     j: int,
     policy: RankPolicy = RankPolicy(),
 ) -> int:
-    """dim Tor_i(R,k)_j; zero without computation above the regularity
-    or beyond the projective dimension."""
+    """dim Tor_i(R,k)_j; zero without computation above the regularity,
+    beyond the projective dimension and on the linear strand j = i >= 1."""
     if i < 0 or j < 0:
         raise DegenerateInput("i, j must be nonnegative")
     if i > ring.dim_V or j < i:
         return 0
     _check_window(ring, i, j)
-    if j - i > ring.reg or i > ring.pd:
+    if j - i > ring.reg or i > ring.pd or (i >= 1 and j == i):
         return 0
     return _strand_betti(ring, i, j, policy)
 

@@ -3,6 +3,12 @@
 Points are plain tuples of ints.  A polytope is stored by its irredundant
 vertex set together with a minimal inequality description; all dilations
 share the facet normals (the offset scales with the dilation factor).
+
+The lattice points of dP are enumerated fibre by fibre, the one-step case of
+project-and-lift enumeration (as in Normaliz, Bruns-Ichim-Soeger): fixing all
+coordinates but the last turns every facet inequality into a bound on the
+last coordinate, read off in exact integer arithmetic, so the walk visits the
+points of dP and one interval per prefix, never the rest of the bounding box.
 """
 
 from __future__ import annotations
@@ -134,36 +140,52 @@ def normalize_full_dim(points: Iterable[LatticePoint]) -> LatticePolytope:
     return LatticePolytope.from_points(new_pts)
 
 
-def _box_walk(P: LatticePolytope, d: int, strict: bool) -> List[LatticePoint]:
-    """Lattice points x of the bounding box of dP, in lexicographic order,
-    with <normal, x> >= d * offset on every facet, or > when `strict`.
+def _fibre_walk(P: LatticePolytope, d: int, strict: bool) -> List[LatticePoint]:
+    """Lattice points x of dP, in lexicographic order, with
+    <normal, x> >= d * offset on every facet, or > when `strict`.
 
     Normals and offsets are integers, so the strict test is the closed one
-    with the threshold d * offset + 1.  In ambient dimension 0 the box is
-    the one point (), and a polytope without facets passes every test.
+    with the threshold t = d * offset + 1.  The prefixes x' = (x_1, ...,
+    x_{n-1}) run over the bounding box of dP; for each, a facet
+    <a', x'> + a_n * y >= t bounds the last coordinate y by rest = t - <a', x'>:
+    a_n > 0 gives y >= ceil(rest / a_n), a_n < 0 gives y <= floor(rest / a_n),
+    and a_n = 0 holds for every y or for none, as rest <= 0 or not.  The fibre
+    is the interval these bounds leave inside the box, so only points of dP
+    are visited.  In ambient dimension 0 the one point () is returned.
     """
     if d < 0:
         raise DegenerateInput("dilation must be nonnegative")
     n = P.ambient_dim
+    if n == 0:
+        return [()]
     los = [d * min(v[i] for v in P.vertices) for i in range(n)]
     his = [d * max(v[i] for v in P.vertices) for i in range(n)]
-    tests = [(f.normal, d * f.offset + int(strict)) for f in P.facets]
+    cuts = [(f.normal[:-1], f.normal[-1], d * f.offset + int(strict)) for f in P.facets]
     out = []
-    for x in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
-        if all(sum(map(mul, normal, x)) >= t for normal, t in tests):
-            out.append(x)
+    for x in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los[:-1], his[:-1]))):
+        lo, hi = los[-1], his[-1]
+        for head, a, t in cuts:
+            rest = t - sum(map(mul, head, x))
+            if a > 0:
+                lo = max(lo, -(-rest // a))
+            elif a < 0:
+                hi = min(hi, rest // a)
+            elif rest > 0:
+                break
+        else:
+            out.extend(x + (y,) for y in range(lo, hi + 1))
     return out
 
 
 def lattice_points(P: LatticePolytope, d: int) -> List[LatticePoint]:
     """All lattice points of the dilation dP, sorted lexicographically."""
-    return _box_walk(P, d, strict=False)
+    return _fibre_walk(P, d, strict=False)
 
 
 def interior_lattice_points(P: LatticePolytope, d: int) -> List[LatticePoint]:
     """Lattice points in the relative interior of dP: the closed points on
     no facet hyperplane.  A single point is its own relative interior."""
-    return _box_walk(P, d, strict=True)
+    return _fibre_walk(P, d, strict=True)
 
 
 def contains(P: LatticePolytope, d: int, x: LatticePoint) -> bool:

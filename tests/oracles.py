@@ -5,7 +5,9 @@ nothing from the package: hull membership goes through exact barycentric
 coordinates (no facet inequalities), areas come from a monotone-chain hull
 plus shoelace, and Betti numbers and d∘d = 0 from dense un-blocked strand
 matrices.  One Gauss-Jordan elimination over Fraction, here, serves both
-the barycentric solve and every rank.
+the barycentric solve and every rank.  `box_points` is the one oracle that
+reads the facets: it is the bounding-box filter that defines the output of
+the library's lattice point walk, order included.
 """
 
 from __future__ import annotations
@@ -49,10 +51,20 @@ def _solve(rows, rhs):
 
 def in_hull(vertices, x, d=1):
     """x in d * conv(vertices), via Caratheodory over affinely independent
-    vertex subsets with exact barycentric coordinates."""
+    vertex subsets with exact barycentric coordinates.
+
+    When the vertices affinely span R^n, some triangulation of their hull
+    uses only the vertices, so x lies in one of its n-simplices and the
+    (n + 1)-subsets suffice; a subset that is not affinely independent can
+    only add a solution that is itself a convex combination.
+    """
     verts = [tuple(d * c for c in v) for v in vertices]
     n = len(x)
-    for k in range(1, min(len(verts), n + 1) + 1):
+    if fraction_rank([[a - b for a, b in zip(v, verts[0])] for v in verts[1:]]) == n:
+        sizes = [n + 1]
+    else:
+        sizes = range(1, min(len(verts), n + 1) + 1)
+    for k in sizes:
         for subset in itertools.combinations(verts, k):
             rows = [[v[i] for v in subset] for i in range(n)]
             rows.append([1] * k)
@@ -60,6 +72,23 @@ def in_hull(vertices, x, d=1):
             if sol is not None and all(l >= 0 for l in sol):
                 return True
     return False
+
+
+def box_points(P, d, strict):
+    """The lattice points of the bounding box of dP that pass every facet
+    test <normal, x> >= d * offset (> when `strict`), in lexicographic order:
+    the definition the library's fibre walk must reproduce, point by point."""
+    n = len(P.vertices[0])
+    los = [d * min(v[i] for v in P.vertices) for i in range(n)]
+    his = [d * max(v[i] for v in P.vertices) for i in range(n)]
+    return [
+        x
+        for x in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his)))
+        if all(
+            sum(a * b for a, b in zip(f.normal, x)) >= d * f.offset + int(strict)
+            for f in P.facets
+        )
+    ]
 
 
 def hull_area_twice(points):

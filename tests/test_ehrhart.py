@@ -99,3 +99,19 @@ def test_structure_invariants(corpus50):
         assert h(0) == 1 == h.coeffs[0]
         vol = h.coeffs[-1] * factorial(h.degree)
         assert vol.denominator == 1 and vol > 0
+
+
+def test_integer_evaluation_matches_fraction_horner(corpus50):
+    def fraction_horner(coeffs, d):
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * d + c
+        return acc
+
+    for P in corpus50:
+        h = ehrhart_polynomial(P)
+        assert all(isinstance(c, Fraction) for c in h.coeffs)
+        for d in range(-6, 11):
+            value = h(d)
+            assert isinstance(value, Fraction)
+            assert value == fraction_horner(h.coeffs, d), (P.vertices, d)

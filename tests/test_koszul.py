@@ -216,6 +216,21 @@ class TestProjectiveDimension:
                         checked += 1
         assert checked > 100
 
+    def test_linear_strand_vanishes(self, corpus50):
+        # beta_{i,i} = 0 for i >= 1 (R_1 = V, so I has no linear form);
+        # koszul_betti skips the strand, _strand_betti computes it
+        checked = 0
+        for P in corpus50:
+            for c in (1, 2):
+                if len(lattice_points(P, c)) > 10:  # dim_V of the ring
+                    continue
+                ring = build_ring(P, c, 2)
+                for i in range(1, ring.dim_V + 1):
+                    assert _strand_betti(ring, i, i, RankPolicy()) == 0
+                    assert koszul_betti(ring, i, i) == 0
+                    checked += 1
+        assert checked > 100
+
     def test_window_is_checked_first(self, unit_triangle):
         # i > pd still needs the window, as every strand up to dim V does;
         # beyond dim V the strand is 0 with no window check, as before

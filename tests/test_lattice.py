@@ -139,8 +139,9 @@ class TestLatticePoints:
         for P in corpus50[:12]:
             assert len(lattice_points(P, 1)) >= len(P.vertices)
 
-    def test_oracle_equivalence(self, corpus2d):
-        for P in corpus2d[:6]:
+    def test_oracle_equivalence(self, corpus2d, corpus3d):
+        # membership by barycentric coordinates, which never reads a facet
+        for P in corpus2d[:6] + corpus3d[:10]:
             verts = P.vertices
             for d in (1, 2):
                 pts = set(lattice_points(P, d))

@@ -8,10 +8,19 @@ cache out of the working tree.
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polysyz import betti_table, build_ring, compose_is_zero, koszul_betti, lattice_points
+from polysyz import (
+    DegenerateInput,
+    LatticePolytope,
+    betti_table,
+    build_ring,
+    compose_is_zero,
+    interior_lattice_points,
+    koszul_betti,
+    lattice_points,
+)
 from polysyz.lattice import normalize_full_dim
 
-from .oracles import dense_betti, dense_compose_is_zero
+from .oracles import box_points, dense_betti, dense_compose_is_zero
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
@@ -24,6 +33,33 @@ def polygons(draw, bound, max_points):
     P = normalize_full_dim(pts)
     assume(P.dim == 2 and len(lattice_points(P, 1)) <= max_points)
     return P
+
+
+@st.composite
+def lattice_polytopes(draw):
+    """A full-dimensional lattice polytope in 1, 2 or 3 dimensions with
+    coordinates in [-2, 2]: the hull of random points, or a prism over one,
+    whose side facets are parallel to the last axis (last normal entry 0)."""
+    n = draw(st.integers(1, 3))
+    coord = st.integers(-2, 2)
+    if n > 1 and draw(st.booleans()):
+        base = draw(st.lists(st.tuples(*[coord] * (n - 1)), min_size=n, max_size=4, unique=True))
+        lo, hi = sorted(draw(st.lists(coord, min_size=2, max_size=2, unique=True)))
+        pts = [b + (lo,) for b in base] + [b + (hi,) for b in base]
+    else:
+        pts = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=6, unique=True))
+    try:
+        return LatticePolytope.from_points(pts)
+    except DegenerateInput:
+        assume(False)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(lattice_polytopes())
+def test_fibre_walk_is_the_box_filter(P):
+    for d in range(5):
+        assert lattice_points(P, d) == box_points(P, d, strict=False), d
+        assert interior_lattice_points(P, d) == box_points(P, d, strict=True), d
 
 
 # these generate GL2(Z); short words give small entries
