@@ -40,6 +40,14 @@ class EhrhartPolynomial:
             acc = acc * d + c
         return Fraction(acc, den)
 
+    @cached_property
+    def _roots(self) -> RootData:
+        """The answer of `integer_root_count`, found on first use."""
+        s = 0
+        while s < self.degree and self(-(s + 1)) == 0:
+            s += 1
+        return RootData(r=s, integer_roots=tuple(range(-1, -s - 1, -1)))
+
 
 @dataclass(frozen=True)
 class RootData:
@@ -87,11 +95,9 @@ def _interpolate(P: LatticePolytope) -> EhrhartPolynomial:
 
 
 def integer_root_count(h: EhrhartPolynomial) -> RootData:
-    """Largest s with h(-1) = ... = h(-s) = 0; roots counted as a set."""
-    s = 0
-    while s < h.degree and h(-(s + 1)) == 0:
-        s += 1
-    return RootData(r=s, integer_roots=tuple(range(-1, -s - 1, -1)))
+    """Largest s with h(-1) = ... = h(-s) = 0; roots counted as a set.
+    Kept on h, whose coefficients never change, after the first call."""
+    return h._roots
 
 
 def r_of_polytope(P: LatticePolytope) -> int:

@@ -29,16 +29,30 @@ The block of multidegree u is the chain complex of the simplicial complex
 Delta_u = {F subset V : u - sum F in the semigroup}, up to signs and a shift:
 an element e_S (x) r of the block is the face S, r being u - sum S, so
 beta_{i,(j,u)} = dim H~_{i-1}(Delta_u) (Bruns-Herzog, JPAA 1997;
-Miller-Sturmfels, Combinatorial Commutative Algebra, ch. 9).  Delta_u is closed
-under subsets, so for a generator v the map T -> T - {v} sends the source faces
-(size i + 1) that hold v injectively into the middle faces (size i) that lack
-v.  When the two sets have the same size the map is onto: every middle face S
-without v has S + {v} in Delta_u, and the block is a cone at level i.  Then
-every middle cycle z is a boundary: with z0 its part without v,
-z - d(v * z0) holds only faces with v, and a cycle whose faces all hold v is
-0 (its boundary keeps each face minus v once).  Such a block adds 0 to beta
-and neither of its maps is built or ranked (`_is_cone`); the counts cost O(i)
-per element, read from the wedge tables.
+Miller-Sturmfels, Combinatorial Commutative Algebra, ch. 9).  Only the
+truncated complex C_{i+1} -> C_i -> C_{i-1} of its source, middle and
+target faces is needed: it has the same homology at C_i.
+
+Most blocks are decided without a rank, by discrete Morse theory
+(`_morse_count`).  Match the cells one generator at a time: for v = v_1,
+v_2, ..., pair each unmatched face S without v with S + {v} when that face is
+in the block and unmatched too.  A sequence of such element matchings is
+acyclic on any family of sets (Jonsson, Simplicial Complexes of Graphs, 2008,
+section 4), and every matched entry of the differential is +-1, so by
+algebraic discrete Morse theory (Jöllenbeck-Welker, Minimal resolutions via
+algebraic discrete Morse theory, 2009) the truncated complex is homotopic to
+one on the unmatched ("critical") cells.  Hence beta_u is at most the number
+of critical middle cells, with equality when no source and no target cell is
+critical, and 0 when no middle cell is.  The generators go in decreasing
+order of count[v] = #{middle faces with v} + #{source faces with v}.  Delta_u
+is closed under subsets, so T -> T - {v} sends the source faces with v
+injectively into the middle faces without v, and count[v] is at most the
+number of middle faces, with equality exactly when that map is onto: every
+middle face S without v has S + {v} in Delta_u, the block is a cone over v
+at level i, and the first generator matches every middle cell.  That case is
+the matching's first step and needs no face sets and no target level: the
+counts cost O(i) per element, read from the wedge tables.  A decided block
+builds and ranks neither of its maps; any other is ranked in full.
 
 The ring builds a degree only when something first reads it, so below the
 clamp the largest degrees, |c*d*P| growing like d^n, are never enumerated.
@@ -102,24 +116,10 @@ class RingDegree(NamedTuple):
     code_index: Dict[int, int]
 
 
-class _ByDegree:
-    """ring.bases, ring.index, ring.codes and ring.code_index: item d is one
-    field of ring.degree(d), so reading it builds degree d on first use."""
-
-    def __init__(self, ring: GradedSectionRing, name: str):
-        self.ring = ring
-        self.name = name
-
-    def __getitem__(self, d: int):
-        return getattr(self.ring.degree(d), self.name)
-
-    def __len__(self) -> int:
-        return self.ring.dmax + 1
-
-
 @dataclass(frozen=True)
 class GradedSectionRing:
-    """Section ring of the c-th dilation: bases[d] = lattice points of c*d*P.
+    """Section ring of the c-th dilation.  Degree d has the basis
+    bases[d] = degree(d).basis, the lattice points of c*d*P.
 
     Degrees 0..dmax are built on first use, one `RingDegree` each, and
     memoized on the ring: the Betti numbers below the regularity read only
@@ -173,22 +173,6 @@ class GradedSectionRing:
                 code_index={u: k for k, u in enumerate(codes)},
             )
         return deg
-
-    @property
-    def bases(self) -> _ByDegree:
-        return _ByDegree(self, "basis")
-
-    @property
-    def index(self) -> _ByDegree:
-        return _ByDegree(self, "index")
-
-    @property
-    def codes(self) -> _ByDegree:
-        return _ByDegree(self, "codes")
-
-    @property
-    def code_index(self) -> _ByDegree:
-        return _ByDegree(self, "code_index")
 
     @property
     def dim_V(self) -> int:
@@ -256,11 +240,12 @@ class NpVerdict:
 # its code sum_{s in S} codes[1][s] + codes[d][r], injective by the radix bound
 
 def _wedge(ring: GradedSectionRing, q: int):
-    """(codes, faces) for wedge^q V, memoized on the ring.
+    """(codes, faces, masks) for wedge^q V, memoized on the ring.
 
     codes[k] is the code of sum_{s in S} bases[1][s] for the k-th q-subset S;
     faces[k] lists (sign, s, position of S minus s among the (q-1)-subsets)
-    for each s in S, with the sign (-1)^t of its place t in S.
+    for each s in S, with the sign (-1)^t of its place t in S; masks[k] is
+    S as the bitmask sum_{s in S} 2^s.
     """
     table = ring.wedges.get(q)
     if table is None:
@@ -268,14 +253,16 @@ def _wedge(ring: GradedSectionRing, q: int):
         gen_codes = ring.degree(1).codes
         smaller = itertools.combinations(range(n), max(q - 1, 0))
         position = {S: k for k, S in enumerate(smaller)}
-        codes, faces = [], []
+        bits = [1 << s for s in range(n)]
+        codes, faces, masks = [], [], []
         for S in itertools.combinations(range(n), q):
-            codes.append(sum(gen_codes[s] for s in S))
+            codes.append(sum(map(gen_codes.__getitem__, S)))
             faces.append(tuple(
                 (-1 if t % 2 else 1, s, position[S[:t] + S[t + 1:]])
                 for t, s in enumerate(S)
             ))
-        table = ring.wedges[q] = (codes, faces)
+            masks.append(sum(map(bits.__getitem__, S)))
+        table = ring.wedges[q] = (codes, faces, masks)
     return table
 
 
@@ -370,11 +357,30 @@ def koszul_betti(
     return _strand_betti(ring, i, j, policy)
 
 
-def _is_cone(ring: GradedSectionRing, i: int, j: int, mid, src) -> bool:
-    """True when some generator v has #{middle faces without v} equal to
-    #{source faces with v}: then Delta_u is a cone at level i over v and the
-    block's homology is zero (module docstring).  `mid` and `src` are the
-    block's elements of wedge^i V (x) R_{j-i} and wedge^{i+1} V (x) R_{j-i-1}.
+def _matching_order(count: List[int]) -> List[int]:
+    """The generators some middle or source face holds, by decreasing count,
+    ties by index."""
+    return sorted((v for v, x in enumerate(count) if x), key=count.__getitem__, reverse=True)
+
+
+def _cells(ring: GradedSectionRing, q: int, j: int, elements) -> set:
+    """A block's elements of wedge^q V (x) R_{j-q} as the bitmasks of their
+    faces: within one block the multidegree fixes each ring element."""
+    if not elements:
+        return set()
+    masks, n = _wedge(ring, q)[2], ring.dim(j - q)
+    return {masks[e // n] for e in elements}
+
+
+def _morse_count(ring: GradedSectionRing, i: int, j: int, u: int, mid, src, target_level):
+    """(critical middle cells, decided) for the block at u of strand (i, j).
+
+    `mid` and `src` are the block's elements of wedge^i V (x) R_{j-i} and
+    wedge^{i+1} V (x) R_{j-i-1}; `target_level()` is the split of
+    wedge^{i-1} V (x) R_{j-i+1}, asked for only past the cone exit.  The
+    cells are matched one generator at a time (module docstring).  When
+    `decided`, the block's Betti number is the count; otherwise the count
+    bounds it from above and the block has to be ranked.
     """
     # count[v] = #{middle faces with v} + #{source faces with v}, which is
     # len(mid) exactly when #{middle faces without v} = #{source faces with v}
@@ -385,27 +391,52 @@ def _is_cone(ring: GradedSectionRing, i: int, j: int, mid, src) -> bool:
             for e in elements:
                 for _, s, _ in faces[e // n]:
                     count[s] += 1
-    return len(mid) in count
+    if len(mid) in count:
+        return 0, True  # Delta_u is a cone at level i
+    low = _cells(ring, i - 1, j, target_level().get(u))
+    middle, high = _cells(ring, i, j, mid), _cells(ring, i + 1, j, src)
+    for v in _matching_order(count):
+        if not middle or not (low or high):
+            break
+        bit = 1 << v
+        # pair each unmatched S without v with an unmatched S + {v}; the middle
+        # cells paired down hold v and those paired up lack it, so no cell is
+        # paired twice
+        for lower, upper in ((low, middle), (middle, high)):
+            if lower and upper:
+                paired = [S for S in lower if not S & bit and S | bit in upper]
+                lower.difference_update(paired)
+                upper.difference_update([S | bit for S in paired])
+    return len(middle), not middle or not (low or high)
 
 
 def _strand_betti(ring: GradedSectionRing, i: int, j: int, policy: RankPolicy) -> int:
     """dim ker(outgoing) - rank(incoming), summed over the strand's blocks.
 
-    The levels are split into blocks once; a missing level has none.  A
-    block whose Delta_u is a cone (`_is_cone`) adds 0 by theorem and builds
-    no differential, and the target level is split only if some block is
-    not a cone.
+    The levels are split into blocks once; a missing level has none.  Each
+    block is first matched (`_morse_count`): a cone adds 0, and so does a
+    block left with no critical middle cell, while a block left with no
+    critical source or target cell adds its critical middle cells.  Only
+    the other blocks build and rank their differentials, and the target
+    level is split only if some block is not a cone.
     """
     certify = policy.certify
     src = _level_blocks(ring, i + 1, j - i - 1)
     tgt = None
+
+    def target_level():
+        nonlocal tgt
+        if tgt is None:
+            tgt = _level_blocks(ring, i - 1, j - i + 1)
+        return tgt
+
     total = 0
     for u, mid_elts in _level_blocks(ring, i, j - i).items():
         src_elts = src.get(u)
-        if _is_cone(ring, i, j, mid_elts, src_elts):
+        critical, decided = _morse_count(ring, i, j, u, mid_elts, src_elts, target_level)
+        if decided:
+            total += critical
             continue
-        if tgt is None:
-            tgt = _level_blocks(ring, i - 1, j - i + 1)
         n_mid = len(mid_elts)
         # the outgoing map, then the incoming one; a map with no source or
         # no target element has rank 0

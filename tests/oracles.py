@@ -122,26 +122,26 @@ def fraction_rank(rows):
 
 def _level(ring, q, d):
     """The basis (S, r) of wedge^q V (x) R_d, un-blocked; [] if it does not exist."""
-    nv = len(ring.bases[1])
+    nv = len(ring.degree(1).basis)
     if q < 0 or d < 0 or q > nv or d > ring.dmax:
         return []
     return [
         (S, r)
         for S in itertools.combinations(range(nv), q)
-        for r in range(len(ring.bases[d]))
+        for r in range(len(ring.degree(d).basis))
     ]
 
 
 def _matrix(ring, src_elts, q, d):
     """Dense differential wedge^q V (x) R_d -> wedge^{q-1} V (x) R_{d+1},
     rows in the order of `_level(ring, q - 1, d + 1)`."""
-    gens = ring.bases[1]
+    gens = ring.degree(1).basis
     tgt = _level(ring, q - 1, d + 1)
     pos = {e: k for k, e in enumerate(tgt)}
-    idx = {p: k for k, p in enumerate(ring.bases[d + 1])}
+    idx = {p: k for k, p in enumerate(ring.degree(d + 1).basis)}
     rows = [[0] * len(src_elts) for _ in range(len(tgt))]
     for col, (S, r) in enumerate(src_elts):
-        pt = ring.bases[d][r]
+        pt = ring.degree(d).basis[r]
         for k, s in enumerate(S):
             sign = 1 if k % 2 == 0 else -1
             prod = tuple(a + b for a, b in zip(pt, gens[s]))

@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import factorial
 
 from polysyz import (
+    EhrhartPolynomial,
     LatticePolytope,
     ehrhart_polynomial,
     integer_root_count,
@@ -115,3 +116,20 @@ def test_integer_evaluation_matches_fraction_horner(corpus50):
             value = h(d)
             assert isinstance(value, Fraction)
             assert value == fraction_horner(h.coeffs, d), (P.vertices, d)
+
+
+def test_root_count_is_kept_on_the_polynomial(corpus50):
+    # the memoized answer equals a fresh evaluation on a new polynomial object
+    def fresh(coeffs):
+        h = EhrhartPolynomial(coeffs)
+        s = 0
+        while s < h.degree and h(-(s + 1)) == 0:
+            s += 1
+        return s
+
+    for P in corpus50:
+        h = ehrhart_polynomial(P)
+        data = integer_root_count(h)
+        assert integer_root_count(h) is data
+        assert data.r == fresh(h.coeffs), P.vertices
+        assert data.integer_roots == tuple(range(-1, -data.r - 1, -1))

@@ -1,7 +1,9 @@
 import itertools
 import random
+from collections import Counter
 from math import ceil, comb
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import pytest
 
@@ -47,10 +49,10 @@ class TestBuildRing:
     def test_multiplication_closed(self, cubic_triangle):
         ring = build_ring(cubic_triangle, 1, 3)
         for a in range(3):
-            for u in ring.bases[a]:
-                for v in ring.bases[1]:
+            for u in ring.degree(a).basis:
+                for v in ring.degree(1).basis:
                     s = tuple(x + y for x, y in zip(u, v))
-                    assert s in ring.index[a + 1]
+                    assert s in ring.degree(a + 1).index
 
 
 class TestDegreesOnFirstUse:
@@ -84,25 +86,26 @@ class TestDegreesOnFirstUse:
         ring = build_ring(cubic_triangle, 1, 4)
         assert [ring.dim(d) for d in range(3)] == [1, 4, 10]
         with pytest.raises(ConsistencyError, match="Ehrhart predicts"):
-            ring.bases[3]
+            ring.degree(3).basis
 
     def test_degrees_outside_the_ring(self, cubic_triangle):
         ring = build_ring(cubic_triangle, 1, 2)
-        assert len(ring.bases) == 3 and ring.dim(-1) == 0
+        assert ring.dmax == 2 and ring.dim(-1) == 0
         for d in (-1, 3):
             with pytest.raises(IndexError):
-                ring.bases[d]
+                ring.degree(d).basis
 
 
 class TestCodes:
     def test_codes_are_additive(self, simplex112):
         ring = build_ring(simplex112, 2, 3)
         for a in range(3):
-            for r, u in enumerate(ring.bases[a]):
-                for s, v in enumerate(ring.bases[1]):
+            low, gens, up = ring.degree(a), ring.degree(1), ring.degree(a + 1)
+            for r, u in enumerate(low.basis):
+                for s, v in enumerate(gens.basis):
                     w = tuple(x + y for x, y in zip(u, v))
-                    k = ring.code_index[a + 1][ring.codes[a][r] + ring.codes[1][s]]
-                    assert ring.bases[a + 1][k] == w
+                    k = up.code_index[low.codes[r] + gens.codes[s]]
+                    assert up.basis[k] == w
 
     def test_radix_covers_every_multidegree(self, cubic_triangle, simplex112, corpus3d):
         # a multidegree is at most dim V generators plus one point of bases[d],
@@ -110,8 +113,8 @@ class TestCodes:
         far = cubic_triangle.translate((-(10**6), 10**6))
         for P in [cubic_triangle, simplex112, far] + corpus3d[:5]:
             ring = build_ring(P, 2, 3)
-            reach = ring.dim_V * max(abs(x) for p in ring.bases[1] for x in p) + max(
-                abs(x) for p in ring.bases[ring.dmax] for x in p
+            reach = ring.dim_V * max(abs(x) for p in ring.degree(1).basis for x in p) + max(
+                abs(x) for p in ring.degree(ring.dmax).basis for x in p
             )
             assert ring.radix == koszul._radix(P, ring.c, ring.dmax, ring.dim_V)
             assert ring.radix > 2 * reach
@@ -120,9 +123,9 @@ class TestCodes:
         # radix 1 codes a point by its coordinate sum: (0, 1) and (1, 0) collide
         monkeypatch.setattr(koszul, "_radix", lambda P, c, dmax, dim_V: 1)
         ring = build_ring(cubic_triangle, 1, 2)
-        assert ring.codes[0] == (0,)
+        assert ring.degree(0).codes == (0,)
         with pytest.raises(ConsistencyError, match="share a code"):
-            ring.codes[1]
+            ring.degree(1).codes
 
     @pytest.mark.parametrize("shift", [(10**6, -(10**6)), (-(10**6), 10**6 + 3)])
     def test_translated_cubic(self, cubic_triangle, shift):
@@ -247,8 +250,8 @@ def _delta_faces(ring, u, q, j):
     j, found from the lattice points, not from the codes."""
     if not 0 <= j - q <= ring.dmax:
         return set()
-    points = ring.index[j - q]
-    gens = ring.bases[1]
+    points = ring.degree(j - q).index
+    gens = ring.degree(1).basis
     faces = set()
     for F in itertools.combinations(range(ring.dim_V), q):
         w = tuple(x - sum(gens[s][k] for s in F) for k, x in enumerate(u))
@@ -257,10 +260,20 @@ def _delta_faces(ring, u, q, j):
     return faces
 
 
-def _cone_blocks(ring, i, j):
-    """(u, is cone, block Betti number by Bareiss on both maps, the block's
-    elements of the middle and source levels) for each block of strand
-    (i, j), every map ranked whether or not the block is a cone."""
+class _Block(NamedTuple):
+    u: int
+    critical: int  # critical middle cells left by the matching
+    decided: bool
+    at_count: bool  # decided by the count alone, the target level unread
+    b: int  # the block Betti number, both maps ranked by Bareiss
+    mid: list
+    src: Optional[list]
+    tgt: Optional[list]
+
+
+def _matched_blocks(ring, i, j):
+    """A `_Block` for each block of strand (i, j), every map ranked whether
+    or not the matching decides the block."""
     src = koszul._level_blocks(ring, i + 1, j - i - 1)
     tgt = koszul._level_blocks(ring, i - 1, j - i + 1)
     for u, mid in koszul._level_blocks(ring, i, j - i).items():
@@ -269,10 +282,17 @@ def _cone_blocks(ring, i, j):
             if elts and targets:
                 cols = koszul._differential_columns(ring, elts, q, j - q, targets)
                 b -= exact_rank(koszul._dense(cols, len(targets)))
-        yield u, koszul._is_cone(ring, i, j, mid, src.get(u)), b, mid, src.get(u)
+        asked = []
+
+        def target_level():
+            asked.append(True)
+            return tgt
+
+        critical, decided = koszul._morse_count(ring, i, j, u, mid, src.get(u), target_level)
+        yield _Block(u, critical, decided, not asked, b, mid, src.get(u), tgt.get(u))
 
 
-class TestConeSkip:
+class TestMorseMatching:
     # the data files at c = 1 and 2, with the window each is checked in
     WINDOWS = [
         ("cubic_triangle", 1, 3, 3),
@@ -287,7 +307,7 @@ class TestConeSkip:
 
     @staticmethod
     def _rings(corpus50):
-        for name, c, max_i, max_slope in TestConeSkip.WINDOWS:
+        for name, c, max_i, max_slope in TestMorseMatching.WINDOWS:
             P = load_polytope(str(DATA / f"{name}.json"))
             yield name, c, build_ring(P, c, max_slope + 2), max_i, max_slope
         # every fifth corpus polytope at c = 1, small rings only
@@ -295,26 +315,33 @@ class TestConeSkip:
             if len(lattice_points(P, 1)) <= 10:
                 yield f"corpus{k}", 1, build_ring(P, 1, P.dim + 3), 2, P.dim + 1
 
-    def test_skipped_blocks_are_zero(self, corpus50):
-        skipped = kept_nonzero = 0
+    def test_blocks_agree_with_their_ranks(self, corpus50):
+        # decided: b is the critical count; open: the count bounds b
+        seen = Counter()
         for name, c, ring, max_i, max_slope in self._rings(corpus50):
             for i in range(max_i + 1):
                 for j in range(i, i + max_slope + 1):
-                    for u, cone, b, _, _ in _cone_blocks(ring, i, j):
-                        assert b >= 0
-                        if cone:
-                            assert b == 0, (name, c, i, j, u)
-                            skipped += 1
-                        elif b and (name, c) == ("cubic_triangle", 1):
-                            kept_nonzero += 1
-        assert skipped > 1000
-        # the cubic c = 1 window's two nonzero blocks, beta_{0,0} and
-        # beta_{1,3} of the cubic hypersurface, were both kept
-        assert kept_nonzero == 2
+                    for block in _matched_blocks(ring, i, j):
+                        where = (name, c, i, j, block.u)
+                        assert 0 <= block.b <= block.critical, where
+                        if block.decided:
+                            assert block.b == block.critical, where
+                        if not block.decided:
+                            kind = "open"
+                        elif block.at_count:
+                            kind = "cone"
+                        else:
+                            kind = "nonzero" if block.b else "zero"
+                        seen[kind] += 1
+                        seen[name, c, kind] += 1
+        assert seen["cone"] > 1000 and seen["zero"] > 100 and seen["open"] > 100
+        # nonzero blocks are decided by count too, not only zero ones
+        assert seen["cubic_triangle", 2, "nonzero"] >= 10
 
     def test_cone_test_matches_its_definition(self, cubic_triangle, simplex112):
-        # _is_cone counts; the definition asks for a v such that every middle
-        # face without v gains v inside the source level
+        # the matching stops at the count, before it reads the target level,
+        # exactly when some v has F + {v} in the source level for every
+        # middle face F without v
         seen = set()
         for P, c, max_i, max_slope in ((cubic_triangle, 1, 3, 3),
                                        (cubic_triangle, 2, 2, 2),
@@ -324,11 +351,12 @@ class TestConeSkip:
             for i in range(max_i + 1):
                 subsets = list(itertools.combinations(range(n), i))
                 for j in range(i, i + max_slope + 1):
-                    for _, cone, _, mid, src in _cone_blocks(ring, i, j):
+                    for block in _matched_blocks(ring, i, j):
+                        mid, src = block.mid, block.src
                         k, r = divmod(mid[0], ring.dim(j - i))
-                        point = ring.bases[j - i][r]
+                        point = ring.degree(j - i).basis[r]
                         u = tuple(
-                            x + sum(ring.bases[1][s][a] for s in subsets[k])
+                            x + sum(ring.degree(1).basis[s][a] for s in subsets[k])
                             for a, x in enumerate(point)
                         )
                         mid_faces = _delta_faces(ring, u, i, j)
@@ -339,11 +367,32 @@ class TestConeSkip:
                             v for v in range(n)
                             if all(F | {v} in src_faces for F in mid_faces if v not in F)
                         ]
-                        assert cone == bool(apexes)
+                        assert block.at_count == bool(apexes)
+                        if block.at_count:
+                            assert block.decided and block.critical == 0
                         # whether some apex misses a middle face, which a
                         # count of the middle level alone would not see
-                        seen.add((cone, any(v not in F for v in apexes for F in mid_faces)))
+                        seen.add((block.at_count,
+                                  any(v not in F for v in apexes for F in mid_faces)))
         assert seen >= {(True, True), (False, False)}
+
+    def test_only_open_blocks_are_ranked(self, cubic_triangle, monkeypatch):
+        # the engine ranks each map of the open blocks and nothing else
+        ring = build_ring(cubic_triangle, 2, 4)
+        calls = []
+        traced = koszul.rank
+
+        def counted(cols, policy=RankPolicy()):
+            calls.append(1)
+            return traced(cols, policy)
+
+        monkeypatch.setattr(koszul, "rank", counted)
+        for i, j in ((2, 3), (2, 4), (3, 5)):
+            blocks = list(_matched_blocks(ring, i, j))
+            expected = sum(bool(b.tgt) + bool(b.src) for b in blocks if not b.decided)
+            del calls[:]
+            assert _strand_betti(ring, i, j, RankPolicy()) == sum(b.b for b in blocks)
+            assert len(calls) == expected, (i, j)
 
 
 class TestKoszulBetti:

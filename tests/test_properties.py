@@ -5,9 +5,11 @@ runs the same cases every time; `conftest.py` keeps hypothesis' on-disk
 cache out of the working tree.
 """
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from polysyz import koszul
 from polysyz import (
     DegenerateInput,
     LatticePolytope,
@@ -115,3 +117,27 @@ def test_betti_table_is_unimodular_invariant(P, A, t):
         return betti_table(build_ring(R, 1, 4), 3, 3).entries
 
     assert entries(Q) == entries(P)
+
+
+@settings(PROPERTY, max_examples=25)
+@given(data=st.data())
+def test_betti_table_is_independent_of_the_matching_order(corpus50, data):
+    # any order of the element matchings is acyclic, so the table cannot
+    # depend on it; the corpus rings with dim V <= 8 at c = 1, 2
+    rings = [
+        (P, c) for P in corpus50[::3] for c in (1, 2) if len(lattice_points(P, c)) <= 8
+    ]
+    P, c = data.draw(st.sampled_from(rings))
+    ring = build_ring(P, c, P.dim + 3)
+    order = data.draw(st.permutations(range(ring.dim_V)))
+    expected = betti_table(ring, 2, P.dim + 1).entries
+    asked = []
+
+    def drawn_order(count):
+        asked.append(True)
+        return [v for v in order if count[v]]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(koszul, "_matching_order", drawn_order)
+        assert betti_table(ring, 2, P.dim + 1).entries == expected
+    assert asked
