@@ -53,8 +53,9 @@ from .serialize import (
 CACHE_ENV = "POLYSYZ_CACHE_DIR"
 
 CERTIFY_HELP = (
-    "Rank every block by Bareiss elimination on its dense copy, "
-    "an independent exact reference."
+    "Rank every matrix the engine ranks (the Morse maps of the blocks the "
+    "matching leaves open) by Bareiss elimination on its dense copy, an "
+    "independent exact reference."
 )
 
 # hard ceiling on Koszul windows reachable from the CLI; beyond this the

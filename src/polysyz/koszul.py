@@ -8,8 +8,9 @@ with V spanned by the degree-one basis.  Because the ring is multigraded by
 the lattice itself, every strand splits into independent blocks indexed by
 the lattice-point multidegree (the sum of the wedge factors and the ring
 element); blocks stay small even when the ambient strand has dimension in
-the tens of thousands, and each block rank is computed exactly over the
-integers from the sparse columns of its differential (see `ranks`).
+the tens of thousands, and each block's Betti number is computed exactly
+over the integers, from the sparse columns of its Morse maps when it needs
+a rank at all (below, and `ranks`).
 
 The section ring R of cP is the Ehrhart ring of cP: a normal affine semigroup
 ring, hence Cohen-Macaulay (Hochster 1972), so its Castelnuovo-Mumford
@@ -39,20 +40,40 @@ v_2, ..., pair each unmatched face S without v with S + {v} when that face is
 in the block and unmatched too.  A sequence of such element matchings is
 acyclic on any family of sets (Jonsson, Simplicial Complexes of Graphs, 2008,
 section 4), and every matched entry of the differential is +-1, so by
-algebraic discrete Morse theory (Jöllenbeck-Welker, Minimal resolutions via
+algebraic discrete Morse theory (Sköldberg, Morse theory from an algebraic
+viewpoint, Trans. AMS 2006; Jöllenbeck-Welker, Minimal resolutions via
 algebraic discrete Morse theory, 2009) the truncated complex is homotopic to
-one on the unmatched ("critical") cells.  Hence beta_u is at most the number
-of critical middle cells, with equality when no source and no target cell is
-critical, and 0 when no middle cell is.  The generators go in decreasing
-order of count[v] = #{middle faces with v} + #{source faces with v}.  Delta_u
-is closed under subsets, so T -> T - {v} sends the source faces with v
-injectively into the middle faces without v, and count[v] is at most the
-number of middle faces, with equality exactly when that map is onto: every
-middle face S without v has S + {v} in Delta_u, the block is a cone over v
-at level i, and the first generator matches every middle cell.  That case is
-the matching's first step and needs no face sets and no target level: the
-counts cost O(i) per element, read from the wedge tables.  A decided block
-builds and ranks neither of its maps; any other is ranked in full.
+its Morse complex on the unmatched ("critical") cells.  Hence beta_u is at
+most the number of critical middle cells, with equality when no source and
+no target cell is critical, and 0 when no middle cell is.  The generators go
+in decreasing order of count[v] = #{middle faces with v} + #{source faces
+with v}.  For a middle cell e_S (x) r of degree d and v not in S, the face
+S + {v} is in the block exactly when bases[d][r] - bases[1][v] is in
+R_{d-1}, that is when v is in the down-shift mask down_d[r], the inverse of
+the shift table of degree d - 1 (`_down`).  Delta_u is closed under subsets,
+so T -> T - {v} sends the source faces with v one to one onto the middle
+faces without v whose S + {v} is a face, and count[v] is the number of
+middle cells whose span S | down_d[r] holds v.  It equals the number of
+middle cells exactly when every middle face S without v has S + {v} in
+Delta_u: the block is a cone over v at level i, and the first generator
+matches every middle cell.  So the block is a cone exactly when the AND of
+its spans is not 0; that is the matching's first step, and it reads neither
+the source nor the target level.  A decided block builds and ranks neither
+of its maps.
+
+Any other block is open, and its Betti number is read from its Morse
+complex: beta_u = #critical middle cells - rank(outgoing) - rank(incoming),
+with both Morse maps between critical cells only.  The Morse differential
+of a critical cell S is the sum over the gradient paths from S to critical
+cells one level down: a path steps down along the boundary to a face F and,
+while F is matched up to F + {v}, steps up along the pair with weight
+-[F + {v} : F] (the entry is +-1, its own inverse) and down again to another
+face of F + {v}; it ends at a critical cell and dies at a cell matched down
+(Sköldberg 2006, section 2; Jöllenbeck-Welker 2009, chapter 2).  The
+truncated complex has no level i - 2, so every target cell is critical or
+matched up.  `_differential_columns` sums the paths by projecting each face
+onto the critical cells, each matched face's projection memoized per block,
+so every cell is expanded once; acyclicity makes the expansion finite.
 
 The ring builds a degree only when something first reads it, so below the
 clamp the largest degrees, |c*d*P| growing like d^n, are never enumerated.
@@ -69,34 +90,42 @@ value, so two such multidegrees differ by less than M in every coordinate,
 and a base-M expansion whose digits lie strictly between -M and M is zero
 only if every digit is: the code is injective on every multidegree the
 engine meets, and code(a + b) = code(a) + code(b).  Blocks are keyed by the
-code of u, a basis element is the int k * |R_d| + r (k the position of S in
-combinations(range(dim V), q), r the index of the ring element), and a
-differential column costs one shift-table read (below) and one int-keyed
-dict lookup per term.
+code of u, and a basis element is the int k * |R_d| + r (k the position of
+S in combinations(range(dim V), q), r the index of the ring element).  Each
+level is split into blocks once per ring (`_level`); within one block the
+multidegree fixes the ring element of each face, so a block's cells are the
+bitmasks of their faces, and a Morse column reads its faces and signs from
+the wedge table, through a bitmask -> position map.
 
 The check d o d = 0 (`compose_is_zero`) builds no block.  On e_S (x) r the
 composite is a sum over ordered pairs s != t in S of signed terms
 e_{S - {s, t}} (x) x_t x_s r, with signs and faces read from the ring's wedge
 tables and x_t x_s r read in two steps from its shift tables (shift_d[s][r]
-is the index of bases[d][r] + bases[1][s] in bases[d + 1]), the same tables
-the differential columns read; one code sum for x_t x_s r would commute by
-construction and so check nothing.  Per S, the terms are grouped by target face
-and by the map r -> x_t x_s r over all of R_d; when every group's sign sum is
-zero the composite vanishes on e_S (x) r for every r at once, and any other
-face is summed pointwise.  Both branches evaluate the literal composite, so
-the check is exact in both directions; it costs about C(n, q) * q(q-1) face
-steps plus n(n-1) * |R_d| shift reads per strand, n = dim V, q = i + 1.
+is the index of bases[d][r] + bases[1][s] in bases[d + 1]): the Morse
+columns read the same wedge tables, and the matching reads the down-shift
+masks inverted from the same shift tables; one code sum for x_t x_s r would
+commute by construction and so check nothing.  Per S, the terms are
+grouped by target face and by the map r -> x_t x_s r over all of R_d; when
+every group's sign sum is zero the composite vanishes on e_S (x) r for every
+r at once, and any other face is summed pointwise.  Both branches evaluate
+the literal composite, so the check is exact in both directions; it costs
+about C(n, q) * q(q-1) face steps per strand, n = dim V, q = i + 1, plus
+n(n-1) * |R_d| shift reads for the pair maps, which depend only on d and are
+built once per (ring, d).
 
 A level wedge^q V (x) R_d that does not exist (q = -1 at i = 0, q > dim V,
-d < 0 or d > dmax) has no blocks, and a map with no source or no target
-element has rank 0, so the ends of the complex need no case of their own.
+d < 0 or d > dmax) has no blocks, and a map with no critical source or no
+critical target cell has rank 0, so the ends of the complex need no case of
+their own.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import reduce
 from math import comb
+from operator import and_
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .ehrhart import ehrhart_polynomial, integer_root_count
@@ -147,6 +176,19 @@ class GradedSectionRing:
     )
     # d -> the shift table of `_shift`, filled on first use
     shifts: Dict[int, tuple] = field(
+        default_factory=dict, repr=False, hash=False, compare=False
+    )
+    # d -> the down-shift table of `_down`, filled on first use
+    downs: Dict[int, tuple] = field(
+        default_factory=dict, repr=False, hash=False, compare=False
+    )
+    # (q, d) -> the `_Level` split of wedge^q V (x) R_d, filled on first use
+    levels: Dict[Tuple[int, int], "_Level"] = field(
+        default_factory=dict, repr=False, hash=False, compare=False
+    )
+    # d -> the generator-pair maps of `compose_is_zero`, with the two shift
+    # tables they were read from
+    pair_maps: Dict[int, tuple] = field(
         default_factory=dict, repr=False, hash=False, compare=False
     )
 
@@ -240,12 +282,13 @@ class NpVerdict:
 # its code sum_{s in S} codes[1][s] + codes[d][r], injective by the radix bound
 
 def _wedge(ring: GradedSectionRing, q: int):
-    """(codes, faces, masks) for wedge^q V, memoized on the ring.
+    """(codes, faces, masks, position) for wedge^q V, memoized on the ring.
 
     codes[k] is the code of sum_{s in S} bases[1][s] for the k-th q-subset S;
     faces[k] lists (sign, s, position of S minus s among the (q-1)-subsets)
     for each s in S, with the sign (-1)^t of its place t in S; masks[k] is
-    S as the bitmask sum_{s in S} 2^s.
+    S as the bitmask sum_{s in S} 2^s, and position maps masks[k] back to k,
+    filled when a Morse column first reads it (`_differential_columns`).
     """
     table = ring.wedges.get(q)
     if table is None:
@@ -262,7 +305,7 @@ def _wedge(ring: GradedSectionRing, q: int):
                 for t, s in enumerate(S)
             ))
             masks.append(sum(map(bits.__getitem__, S)))
-        table = ring.wedges[q] = (codes, faces, masks)
+        table = ring.wedges[q] = (codes, faces, masks, {})
     return table
 
 
@@ -277,6 +320,22 @@ def _shift(ring: GradedSectionRing, d: int):
         table = ring.shifts[d] = tuple(
             tuple(up[p + g] for p in codes) for g in gen_codes
         )
+    return table
+
+
+def _down(ring: GradedSectionRing, d: int):
+    """down[r] = the bitmask of the generators v with bases[d][r] -
+    bases[1][v] in R_{d-1}, the inverse of `_shift(ring, d - 1)`, memoized on
+    the ring; all 0 at d = 0."""
+    table = ring.downs.get(d)
+    if table is None:
+        down = [0] * ring.dim(d)
+        if d >= 1:
+            for v, row in enumerate(_shift(ring, d - 1)):
+                bit = 1 << v
+                for r in row:
+                    down[r] |= bit
+        table = ring.downs[d] = tuple(down)
     return table
 
 
@@ -299,27 +358,101 @@ def _level_blocks(ring: GradedSectionRing, q: int, d: int):
     return blocks
 
 
-def _differential_columns(ring, elements, q, d_source, targets):
-    """Sparse columns of the Koszul differential on source elements of
-    wedge^q V (x) R_{d_source}.
+class _Level(NamedTuple):
+    """Level wedge^q V (x) R_d split into blocks: element e of a block is
+    the face masks[e // size] with the ring element e % size."""
 
-    Row k is the k-th element of `targets` (ints of wedge^{q-1} V (x)
-    R_{d_source+1}).  Sign convention: d(e_{s1}^...^e_{sq} (x) r) =
-    sum_k (-1)^(k+1) e_{s1}^..^{no s_k}^..^e_{sq} (x) x_{s_k} r  with s1<...<sq.
+    blocks: Dict[int, List[int]]
+    size: int  # |R_d|
+    masks: list  # the wedge table's masks of wedge^q V
+
+    def cells(self, u: int) -> set:
+        """The block at u as the bitmasks of its faces: within one block the
+        multidegree fixes each ring element."""
+        size, masks = self.size, self.masks
+        return {masks[e // size] for e in self.blocks.get(u, ())}
+
+
+def _level(ring: GradedSectionRing, q: int, d: int) -> _Level:
+    """The split of wedge^q V (x) R_d, made once per ring; a level that does
+    not exist has no blocks."""
+    level = ring.levels.get((q, d))
+    if level is None:
+        blocks = _level_blocks(ring, q, d)
+        if blocks:
+            level = _Level(blocks, ring.dim(d), _wedge(ring, q)[2])
+        else:
+            level = _Level(blocks, 0, [])
+        ring.levels[(q, d)] = level
+    return level
+
+
+def _differential_columns(ring, q, cells, rows, up):
+    """Sparse columns of the Morse differential of one block on its critical
+    cells `cells` of wedge^q V (bitmasks), with row rows[F] for each critical
+    cell F of wedge^{q-1} V.
+
+    The Koszul boundary of S is sum_t (-1)^t (S - s_t), s_0 < s_1 < ..., read
+    from the wedge table.  A face F of S is replaced by its projection: a
+    critical F is its own row; a matched F, with partner up[F] = F + {v} in
+    wedge^q V, is eliminated along the unit entry e = [up[F] : F], so it
+    projects to -e times the sum of [up[F] : F'] * projection(F') over the
+    other faces F' of up[F]; any other F is matched down and projects to 0.
+    That is the sum over the gradient paths from S (module docstring).  Each
+    projection is memoized, so each matched cell is expanded once, with an
+    explicit stack; a cell that waits on itself means the matching was not
+    acyclic.
     """
-    target_pos = {e: k for k, e in enumerate(targets)}
-    faces = _wedge(ring, q)[1]
-    shift = _shift(ring, d_source)
-    n_src = ring.dim(d_source)
-    n_tgt = ring.dim(d_source + 1)
+    _, faces, masks, position = _wedge(ring, q)
+    if not position:
+        position.update((S, k) for k, S in enumerate(masks))
+    lower = _wedge(ring, q - 1)[2]
+    memo: Dict[int, Dict[int, int]] = {}  # matched cell -> its projection
+    opened = set()
+
+    def boundary(S):
+        return [(sign, lower[k]) for sign, _, k in faces[position[S]]]
+
+    def combine(terms):
+        # the sum of sign * projection(F) over the terms (sign, F), for faces
+        # that are critical, done or matched down; a face being expanded is
+        # none of these, so it drops out of its own partner's boundary
+        acc: Dict[int, int] = {}
+        for sign, F in terms:
+            row = rows.get(F)
+            if row is not None:
+                acc[row] = acc.get(row, 0) + sign
+            elif F in memo:
+                for row, x in memo[F].items():
+                    acc[row] = acc.get(row, 0) + sign * x
+        return acc
+
+    def project(F):
+        stack = [F]
+        while stack:
+            F = stack[-1]
+            if F in memo:
+                stack.pop()
+                continue
+            terms = boundary(up[F])
+            waiting = [G for _, G in terms if G in up and G not in memo and G != F]
+            if waiting:
+                if F in opened:
+                    raise ConsistencyError("the Morse matching has a cycle")
+                opened.add(F)
+                stack.extend(waiting)
+                continue
+            stack.pop()
+            e = next(sign for sign, G in terms if G == F)
+            memo[F] = {row: -e * x for row, x in combine(terms).items() if x}
+
     cols = []
-    for e in elements:
-        k, r = divmod(e, n_src)
-        # the faces S minus s of one S are distinct, so no row repeats
-        col = {}
-        for sign, s, k2 in faces[k]:
-            col[target_pos[k2 * n_tgt + shift[s][r]]] = sign
-        cols.append(col)
+    for S in cells:
+        terms = boundary(S)
+        for _, F in terms:
+            if F in up and F not in memo:
+                project(F)
+        cols.append({row: x for row, x in combine(terms).items() if x})
     return cols
 
 
@@ -363,38 +496,45 @@ def _matching_order(count: List[int]) -> List[int]:
     return sorted((v for v, x in enumerate(count) if x), key=count.__getitem__, reverse=True)
 
 
-def _cells(ring: GradedSectionRing, q: int, j: int, elements) -> set:
-    """A block's elements of wedge^q V (x) R_{j-q} as the bitmasks of their
-    faces: within one block the multidegree fixes each ring element."""
-    if not elements:
-        return set()
-    masks, n = _wedge(ring, q)[2], ring.dim(j - q)
-    return {masks[e // n] for e in elements}
+class _Morse(NamedTuple):
+    """What the matching of one open block leaves: its critical cells by
+    level, and each matched target and middle cell's upper partner."""
+
+    low: set
+    middle: set
+    high: set
+    up_low: Dict[int, int]
+    up_mid: Dict[int, int]
 
 
-def _morse_count(ring: GradedSectionRing, i: int, j: int, u: int, mid, src, target_level):
-    """(critical middle cells, decided) for the block at u of strand (i, j).
+def _morse_count(ring: GradedSectionRing, i: int, j: int, u: int, mid: _Level, down):
+    """(critical middle cells, decided, matching) for the block at u of
+    strand (i, j).
 
-    `mid` and `src` are the block's elements of wedge^i V (x) R_{j-i} and
-    wedge^{i+1} V (x) R_{j-i-1}; `target_level()` is the split of
-    wedge^{i-1} V (x) R_{j-i+1}, asked for only past the cone exit.  The
-    cells are matched one generator at a time (module docstring).  When
-    `decided`, the block's Betti number is the count; otherwise the count
-    bounds it from above and the block has to be ranked.
+    `mid` is the split of wedge^i V (x) R_{j-i} and `down` its degree's
+    down-shift table.  The cells are matched one generator at a time
+    (module docstring); the source and target levels are read only past the
+    cone exit.  When `decided`, the block's Betti number is the count and
+    the matching is None; otherwise the block is open and the matching its
+    `_Morse` record.
     """
-    # count[v] = #{middle faces with v} + #{source faces with v}, which is
-    # len(mid) exactly when #{middle faces without v} = #{source faces with v}
+    size, masks = mid.size, mid.masks
+    # the span of e = e_S (x) r: the v with v in S or S + {v} a source face
+    spans = [masks[e // size] | down[e % size] for e in mid.blocks[u]]
+    if reduce(and_, spans):
+        return 0, True, None  # Delta_u is a cone at level i
+    # count[v] = #{middle faces with v} + #{source faces with v}, the number
+    # of spans that hold v
     count = [0] * ring.dim_V
-    for q, elements in ((i, mid), (i + 1, src)):
-        if elements:
-            faces, n = _wedge(ring, q)[1], ring.dim(j - q)
-            for e in elements:
-                for _, s, _ in faces[e // n]:
-                    count[s] += 1
-    if len(mid) in count:
-        return 0, True  # Delta_u is a cone at level i
-    low = _cells(ring, i - 1, j, target_level().get(u))
-    middle, high = _cells(ring, i, j, mid), _cells(ring, i + 1, j, src)
+    for span in spans:
+        while span:
+            bit = span & -span
+            count[bit.bit_length() - 1] += 1
+            span ^= bit
+    low = _level(ring, i - 1, j - i + 1).cells(u)
+    middle, high = mid.cells(u), _level(ring, i + 1, j - i - 1).cells(u)
+    up_low: Dict[int, int] = {}
+    up_mid: Dict[int, int] = {}
     for v in _matching_order(count):
         if not middle or not (low or high):
             break
@@ -402,58 +542,56 @@ def _morse_count(ring: GradedSectionRing, i: int, j: int, u: int, mid, src, targ
         # pair each unmatched S without v with an unmatched S + {v}; the middle
         # cells paired down hold v and those paired up lack it, so no cell is
         # paired twice
-        for lower, upper in ((low, middle), (middle, high)):
+        for lower, upper, up in ((low, middle, up_low), (middle, high, up_mid)):
             if lower and upper:
                 paired = [S for S in lower if not S & bit and S | bit in upper]
-                lower.difference_update(paired)
-                upper.difference_update([S | bit for S in paired])
-    return len(middle), not middle or not (low or high)
+                if paired:
+                    partners = [S | bit for S in paired]
+                    lower.difference_update(paired)
+                    upper.difference_update(partners)
+                    up.update(zip(paired, partners))
+    if not middle or not (low or high):
+        return len(middle), True, None
+    return len(middle), False, _Morse(low, middle, high, up_low, up_mid)
 
 
 def _strand_betti(ring: GradedSectionRing, i: int, j: int, policy: RankPolicy) -> int:
-    """dim ker(outgoing) - rank(incoming), summed over the strand's blocks.
+    """The sum over the strand's blocks of their Betti numbers.
 
-    The levels are split into blocks once; a missing level has none.  Each
-    block is first matched (`_morse_count`): a cone adds 0, and so does a
-    block left with no critical middle cell, while a block left with no
-    critical source or target cell adds its critical middle cells.  Only
-    the other blocks build and rank their differentials, and the target
-    level is split only if some block is not a cone.
+    The middle level is split once per ring.  Each block is first matched
+    (`_morse_count`): a cone adds 0, and so does a block left with no
+    critical middle cell, while a block left with no critical source or
+    target cell adds its critical middle cells.  An open block adds
+    #critical middle cells - rank(outgoing) - rank(incoming) of its Morse
+    complex, and only those two maps on critical cells are assembled and
+    ranked.
     """
-    certify = policy.certify
-    src = _level_blocks(ring, i + 1, j - i - 1)
-    tgt = None
-
-    def target_level():
-        nonlocal tgt
-        if tgt is None:
-            tgt = _level_blocks(ring, i - 1, j - i + 1)
-        return tgt
-
+    mid = _level(ring, i, j - i)
+    down = _down(ring, j - i) if mid.blocks else ()
     total = 0
-    for u, mid_elts in _level_blocks(ring, i, j - i).items():
-        src_elts = src.get(u)
-        critical, decided = _morse_count(ring, i, j, u, mid_elts, src_elts, target_level)
+    for u in mid.blocks:
+        critical, decided, morse = _morse_count(ring, i, j, u, mid, down)
         if decided:
             total += critical
             continue
-        n_mid = len(mid_elts)
-        # the outgoing map, then the incoming one; a map with no source or
-        # no target element has rank 0
+        # the outgoing map, then the incoming one; a map with no critical
+        # source or no critical target cell has rank 0
         ranks = [0, 0]
-        maps = ((mid_elts, i, tgt.get(u)), (src_elts, i + 1, mid_elts))
-        for k, (elts, q, targets) in enumerate(maps):
-            if elts and targets:
-                cols = _differential_columns(ring, elts, q, j - q, targets)
+        maps = ((i, morse.middle, morse.low, morse.up_low),
+                (i + 1, morse.high, morse.middle, morse.up_mid))
+        for k, (q, cells, lower, up) in enumerate(maps):
+            if cells and lower:
+                rows = {F: row for row, F in enumerate(lower)}
+                cols = _differential_columns(ring, q, cells, rows, up)
                 # the sparse columns go straight to `rank`; certify hands it
                 # dense rows for Bareiss instead
-                ranks[k] = rank(_dense(cols, len(targets)) if certify else cols, policy)
+                ranks[k] = rank(_dense(cols, len(rows)) if policy.certify else cols, policy)
         rank_out, rank_in = ranks
-        b = n_mid - rank_out - rank_in
+        b = critical - rank_out - rank_in
         if b < 0:
             raise ConsistencyError(
                 f"negative Betti block at (i={i}, j={j}, multidegree code {u}): "
-                f"{n_mid} - {rank_out} - {rank_in}"
+                f"{critical} - {rank_out} - {rank_in}"
             )
         total += b
     return total
@@ -467,13 +605,14 @@ def compose_is_zero(ring: GradedSectionRing, i: int, j: int) -> bool:
     of eps(S, s) * eps(S - s, t) * e_{S - {s, t}} (x) x_t x_s r.  The signs
     and faces are read from the ring's wedge tables and x_t x_s r in two
     steps from its shift tables, `shift_{d+1}[t][shift_d[s][r]]`, the tables
-    the ranks read.  For each S the terms are grouped by their target face
-    and by the map r -> x_t x_s r as a tuple over R_d (equal maps share one
-    group).  Within one face the composite on e_S (x) r is the sum over the
-    groups of (the group's sign sum) * (its map applied to r), so when every
-    sign sum is zero the face vanishes for every r at once; a face with a
-    nonzero sign sum is summed pointwise over R_d.  Both branches evaluate
-    the literal composite, so the answer is exact both ways.
+    the Morse columns and the matching read.  For each S the terms are
+    grouped by their target face and by the map r -> x_t x_s r as a tuple
+    over R_d (equal maps share one group).  Within one face the composite on
+    e_S (x) r is the sum over the groups of (the group's sign sum) * (its map
+    applied to r), so when every sign sum is zero the face vanishes for every
+    r at once; a face with a nonzero sign sum is summed pointwise over R_d.
+    Both branches evaluate the literal composite, so the answer is exact both
+    ways.  The pair maps depend only on d and are kept on the ring.
     """
     if i < 0 or j < 0:
         raise DegenerateInput("i, j must be nonnegative")
@@ -485,13 +624,18 @@ def compose_is_zero(ring: GradedSectionRing, i: int, j: int) -> bool:
     faces_in = _wedge(ring, i + 1)[1]
     faces_out = _wedge(ring, i)[1]
     first, second = _shift(ring, d), _shift(ring, d + 1)
-    # pair_map[s][t] = the id of the map r -> x_t x_s r, equal maps one id
-    ids: Dict[tuple, int] = {}
-    pair_map = [
-        [ids.setdefault(tuple(map(after.__getitem__, row)), len(ids)) for after in second]
-        for row in first
-    ]
-    maps = list(ids)
+    # pair_map[s][t] = the id of the map r -> x_t x_s r, equal maps one id;
+    # kept per d with the two tables it was read from, and read anew when
+    # either table is not the one the ring holds now
+    cached = ring.pair_maps.get(d)
+    if cached is None or cached[0] is not first or cached[1] is not second:
+        ids: Dict[tuple, int] = {}
+        pair_map = [
+            [ids.setdefault(tuple(map(after.__getitem__, row)), len(ids)) for after in second]
+            for row in first
+        ]
+        cached = ring.pair_maps[d] = (first, second, pair_map, list(ids))
+    _, _, pair_map, maps = cached
     n_src = ring.dim(d)
     for faces in faces_in:
         sums: Dict[Tuple[int, int], int] = {}

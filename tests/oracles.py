@@ -4,8 +4,9 @@ These deliberately avoid the library's computation paths and import
 nothing from the package: hull membership goes through exact barycentric
 coordinates (no facet inequalities), areas come from a monotone-chain hull
 plus shoelace, and Betti numbers and d∘d = 0 from dense un-blocked strand
-matrices.  One Gauss-Jordan elimination over Fraction, here, serves both
-the barycentric solve and every rank.  `box_points` is the one oracle that
+matrices; `block_matrix` gives one block's full Koszul map, for checking the
+engine's Morse complex block by block.  One Gauss-Jordan elimination over
+Fraction, here, serves both the barycentric solve and every rank.  `box_points` is the one oracle that
 reads the facets: it is the bounding-box filter that defines the output of
 the library's lattice point walk, order included.
 """
@@ -147,6 +148,31 @@ def _matrix(ring, src_elts, q, d):
             prod = tuple(a + b for a, b in zip(pt, gens[s]))
             row = pos[(S[:k] + S[k + 1 :], idx[prod])]
             rows[row][col] += sign
+    return rows
+
+
+def block_matrix(ring, elements, q, d, targets):
+    """Dense Koszul differential of one block: a column for each of
+    `elements` in wedge^q V (x) R_d and a row for each of `targets` in
+    wedge^{q-1} V (x) R_{d+1}, every element the int k * |R_d| + r (k the
+    position of its q-subset in combinations order, r the index of its
+    point), with each product of points summed and looked up afresh."""
+    nv = len(ring.degree(1).basis)
+    gens = ring.degree(1).basis
+    subsets = list(itertools.combinations(range(nv), q))
+    smaller = {S: k for k, S in enumerate(itertools.combinations(range(nv), q - 1))}
+    points = ring.degree(d).basis
+    above = ring.degree(d + 1).basis
+    idx = {p: k for k, p in enumerate(above)}
+    pos = {e: k for k, e in enumerate(targets)}
+    rows = [[0] * len(elements) for _ in targets]
+    for col, e in enumerate(elements):
+        k, r = divmod(e, len(points))
+        S = subsets[k]
+        for t, s in enumerate(S):
+            prod = tuple(a + b for a, b in zip(points[r], gens[s]))
+            row = pos[smaller[S[:t] + S[t + 1 :]] * len(above) + idx[prod]]
+            rows[row][col] += -1 if t % 2 else 1
     return rows
 
 

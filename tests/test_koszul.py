@@ -1,7 +1,7 @@
 import itertools
 import random
 from collections import Counter
-from math import ceil, comb
+from math import ceil
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -28,7 +28,7 @@ from polysyz.intlinalg import exact_rank
 from polysyz.koszul import _strand_betti
 from polysyz.serialize import load_polytope
 
-from .oracles import dense_betti, dense_compose_is_zero
+from .oracles import block_matrix, dense_betti, dense_compose_is_zero
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -264,32 +264,50 @@ class _Block(NamedTuple):
     u: int
     critical: int  # critical middle cells left by the matching
     decided: bool
-    at_count: bool  # decided by the count alone, the target level unread
-    b: int  # the block Betti number, both maps ranked by Bareiss
+    at_count: bool  # decided at the cone exit, the source and target levels unread
+    b: int  # the block Betti number, both full maps ranked by Bareiss
+    morse_b: Optional[int]  # an open block's Betti number from its Morse maps, by Bareiss
+    ranked: int  # the Morse maps with a critical source and a critical target cell
     mid: list
     src: Optional[list]
     tgt: Optional[list]
 
 
 def _matched_blocks(ring, i, j):
-    """A `_Block` for each block of strand (i, j), every map ranked whether
-    or not the matching decides the block."""
+    """A `_Block` for each block of strand (i, j), every full map ranked
+    whether or not the matching decides the block."""
     src = koszul._level_blocks(ring, i + 1, j - i - 1)
     tgt = koszul._level_blocks(ring, i - 1, j - i + 1)
+    mid_level = koszul._level(ring, i, j - i)
+    down = koszul._down(ring, j - i)
+    level = koszul._level
+    asked = []
+
+    def watched(ring, q, d):
+        asked.append((q, d))
+        return level(ring, q, d)
+
     for u, mid in koszul._level_blocks(ring, i, j - i).items():
         b = len(mid)
         for elts, q, targets in ((mid, i, tgt.get(u)), (src.get(u), i + 1, mid)):
             if elts and targets:
-                cols = koszul._differential_columns(ring, elts, q, j - q, targets)
-                b -= exact_rank(koszul._dense(cols, len(targets)))
-        asked = []
-
-        def target_level():
-            asked.append(True)
-            return tgt
-
-        critical, decided = koszul._morse_count(ring, i, j, u, mid, src.get(u), target_level)
-        yield _Block(u, critical, decided, not asked, b, mid, src.get(u), tgt.get(u))
+                b -= exact_rank(block_matrix(ring, elts, q, j - q, targets))
+        del asked[:]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(koszul, "_level", watched)
+            critical, decided, morse = koszul._morse_count(ring, i, j, u, mid_level, down)
+        morse_b, ranked = None, 0
+        if not decided:
+            morse_b = critical
+            for q, cells, lower, up in ((i, morse.middle, morse.low, morse.up_low),
+                                        (i + 1, morse.high, morse.middle, morse.up_mid)):
+                if cells and lower:
+                    rows = {F: row for row, F in enumerate(lower)}
+                    cols = koszul._differential_columns(ring, q, cells, rows, up)
+                    morse_b -= exact_rank(koszul._dense(cols, len(rows)))
+                    ranked += 1
+        yield _Block(u, critical, decided, not asked, b, morse_b, ranked,
+                     mid, src.get(u), tgt.get(u))
 
 
 class TestMorseMatching:
@@ -326,6 +344,9 @@ class TestMorseMatching:
                         assert 0 <= block.b <= block.critical, where
                         if block.decided:
                             assert block.b == block.critical, where
+                        else:
+                            # the Morse complex has the homology of the block
+                            assert block.morse_b == block.b, where
                         if not block.decided:
                             kind = "open"
                         elif block.at_count:
@@ -377,7 +398,8 @@ class TestMorseMatching:
         assert seen >= {(True, True), (False, False)}
 
     def test_only_open_blocks_are_ranked(self, cubic_triangle, monkeypatch):
-        # the engine ranks each map of the open blocks and nothing else
+        # the engine ranks each Morse map of the open blocks that has a
+        # critical source and a critical target cell, and nothing else
         ring = build_ring(cubic_triangle, 2, 4)
         calls = []
         traced = koszul.rank
@@ -389,10 +411,20 @@ class TestMorseMatching:
         monkeypatch.setattr(koszul, "rank", counted)
         for i, j in ((2, 3), (2, 4), (3, 5)):
             blocks = list(_matched_blocks(ring, i, j))
-            expected = sum(bool(b.tgt) + bool(b.src) for b in blocks if not b.decided)
+            expected = sum(b.ranked for b in blocks if not b.decided)
             del calls[:]
             assert _strand_betti(ring, i, j, RankPolicy()) == sum(b.b for b in blocks)
             assert len(calls) == expected, (i, j)
+
+
+    def test_a_cyclic_matching_is_refused(self, unit_triangle):
+        # {1} up to {0,1}, {2} up to {1,2}, {0} up to {0,2}: the gradient
+        # path {1} -> {0,1} -> {0} -> {0,2} -> {2} -> {1,2} -> {1} is a
+        # cycle, which no acyclic matching has, and the projection stops on it
+        ring = build_ring(unit_triangle, 1, 2)
+        up = {0b010: 0b011, 0b100: 0b110, 0b001: 0b101}
+        with pytest.raises(ConsistencyError, match="cycle"):
+            koszul._differential_columns(ring, 2, [0b011], {}, up)
 
 
 class TestKoszulBetti:
@@ -418,6 +450,15 @@ class TestKoszulBetti:
     def test_simplex112_missing_section(self, simplex112):
         ring = build_ring(simplex112, 1, 4)
         assert koszul_betti(ring, 0, 2) == 1
+
+    def test_cubic_c3_window(self, cubic_triangle):
+        # one step past the paper's windows; the table is the one found with
+        # both full maps of every block ranked
+        table = betti_table(build_ring(cubic_triangle, 3, 4), 4, 3)
+        assert table.entries == {
+            (0, 0): 1, (1, 2): 126, (2, 3): 1200, (3, 4): 5940, (4, 5): 19152
+        }
+        assert k_polynomial_checksum(table)
 
     def test_against_dense_oracle(self, cubic_triangle, unit_square, simplex112, corpus2d):
         from polysyz import lattice_points
@@ -448,10 +489,11 @@ class TestKoszulBetti:
         with pytest.raises(WindowExceeded):
             betti_table(ring, 2, 4)
 
-    def test_every_block_rank_matches_bareiss(self, simplex112, monkeypatch):
-        # each block the sparse kernel ranks is ranked again by Bareiss on
-        # its dense copy; rows no column touches do not change the rank
-        ring = build_ring(simplex112, 2, 5)
+    def test_every_block_rank_matches_bareiss(self, cubic_triangle, simplex112, monkeypatch):
+        # each Morse map the sparse kernel ranks is ranked again by Bareiss
+        # on its dense copy; rows no column touches do not change the rank.
+        # Every Morse map of the simplex window has rank 0, so the cubic c = 2
+        # window is checked too, for maps of nonzero rank
         sparse_rank = koszul.rank
         checked = []
 
@@ -463,9 +505,13 @@ class TestKoszulBetti:
             return r
 
         monkeypatch.setattr(koszul, "rank", cross_checked)
-        table = betti_table(ring, 3, 3)
-        assert len(table.entries) == 6
-        assert len(checked) > 100 and any(checked)
+        windows = ((simplex112, 2, 3, 3, 6), (cubic_triangle, 2, 4, 4, 6))
+        for P, c, max_i, max_slope, size in windows:
+            del checked[:]
+            table = betti_table(build_ring(P, c, max_slope + 1), max_i, max_slope)
+            assert len(table.entries) == size
+            assert len(checked) > 100
+        assert any(checked)
 
     def test_negative_window_rejected(self, cubic_triangle):
         ring = build_ring(cubic_triangle, 1, 4)
@@ -498,14 +544,15 @@ class TestComplexIntegrity:
     def test_wrong_sign_is_caught(self, cubic_triangle, j, q):
         ring = build_ring(cubic_triangle, 1, 4)
         assert compose_is_zero(ring, 1, j)
-        d = j - q  # the ring degree of the map's source
-        targets = range(comb(ring.dim_V, q - 1) * ring.dim(d + 1))
-        before = koszul._differential_columns(ring, [0], q, d, targets)
+        # the first q-subset's boundary, unmatched, onto every (q-1)-subset
+        cell = [koszul._wedge(ring, q)[2][0]]
+        rows = {F: row for row, F in enumerate(koszul._wedge(ring, q - 1)[2])}
+        before = koszul._differential_columns(ring, q, cell, rows, {})
         faces = ring.wedges[q][1]
         (sign, s, k2), *rest = faces[0]
         faces[0] = ((-sign, s, k2), *rest)
         assert compose_is_zero(ring, 1, j) is False
-        assert koszul._differential_columns(ring, [0], q, d, targets) != before
+        assert koszul._differential_columns(ring, q, cell, rows, {}) != before
 
     # two entries of one row of the shift table x_0 * (-): R_d -> R_{d+1}
     # swapped, at the first (d = j - 2) or second (d = j - 1) step of x_t x_s r
