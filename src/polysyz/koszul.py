@@ -57,13 +57,21 @@ middle cells whose span S | down_d[r] holds v.  It equals the number of
 middle cells exactly when every middle face S without v has S + {v} in
 Delta_u: the block is a cone over v at level i, and the first generator
 matches every middle cell.  So the block is a cone exactly when the AND of
-its spans is not 0; that is the matching's first step, and it reads neither
-the source nor the target level.  A decided block builds and ranks neither
-of its maps.
+its spans is not 0; that is the matching's first step, and a cone adds 0.
 
-Any other block is open, and its Betti number is read from its Morse
-complex: beta_u = #critical middle cells - rank(outgoing) - rank(incoming),
-with both Morse maps between critical cells only.  The Morse differential
+No other level is split: the source and target cells are read off the
+spans.  By the bijection above the source faces are exactly the S + {v} for
+v in the span of a middle cell S but not in S.  The target faces taken are
+the S - {s} for s in S, the faces of the middle cells; a target face of no
+middle cell is left out.  That leaves ker d_i, and so beta_u, unchanged: a
+target cell pairs only with a middle cell that holds it, so such a cell is
+never matched, no gradient path from a middle cell reaches it, and in the
+full map it is a zero row.  So the table reads ring degrees only up to the
+strand's middle degree j - i <= reg.
+
+Every other block's Betti number is read from its Morse complex:
+beta_u = #critical middle cells - rank(outgoing) - rank(incoming), with
+both Morse maps between critical cells only.  The Morse differential
 of a critical cell S is the sum over the gradient paths from S to critical
 cells one level down: a path steps down along the boundary to a face F and,
 while F is matched up to F + {v}, steps up along the pair with weight
@@ -91,11 +99,12 @@ and a base-M expansion whose digits lie strictly between -M and M is zero
 only if every digit is: the code is injective on every multidegree the
 engine meets, and code(a + b) = code(a) + code(b).  Blocks are keyed by the
 code of u, and a basis element is the int k * |R_d| + r (k the position of
-S in combinations(range(dim V), q), r the index of the ring element).  Each
-level is split into blocks once per ring (`_level`); within one block the
-multidegree fixes the ring element of each face, so a block's cells are the
-bitmasks of their faces, and a Morse column reads its faces and signs from
-the wedge table, through a bitmask -> position map.
+S in combinations(range(dim V), q), r the index of the ring element).  A
+strand splits only its middle level into blocks (`_level_blocks`); level
+(q, d) is the middle of the one strand (q, q + d), so nothing is kept.
+Within one block the multidegree fixes the ring element of each face, so a
+block's cells are the bitmasks of their faces, and a Morse column reads its
+faces and signs from the wedge table, through its bitmask -> position map.
 
 The check d o d = 0 (`compose_is_zero`) builds no block.  On e_S (x) r the
 composite is a sum over ordered pairs s != t in S of signed terms
@@ -113,10 +122,11 @@ about C(n, q) * q(q-1) face steps per strand, n = dim V, q = i + 1, plus
 n(n-1) * |R_d| shift reads for the pair maps, which depend only on d and are
 built once per (ring, d).
 
-A level wedge^q V (x) R_d that does not exist (q = -1 at i = 0, q > dim V,
-d < 0 or d > dmax) has no blocks, and a map with no critical source or no
-critical target cell has rank 0, so the ends of the complex need no case of
-their own.
+A middle level wedge^q V (x) R_d that does not exist (q > dim V, d < 0 or
+d > dmax) has no blocks.  A middle cell has no target face at q = 0 and no
+source face at q = dim V or d = 0 (down_0 is all 0), and a map with no
+critical source or no critical target cell has rank 0, so the ends of the
+complex need no case of their own.
 """
 
 from __future__ import annotations
@@ -138,7 +148,6 @@ class RingDegree(NamedTuple):
     """Degree d of the section ring: the lattice points of c*d*P."""
 
     basis: Tuple[LatticePoint, ...]
-    index: Dict[LatticePoint, int]
     # codes[r] is the additive int code of basis[r] (see the module
     # docstring); code_index maps a code back to its index in basis
     codes: Tuple[int, ...]
@@ -152,7 +161,7 @@ class GradedSectionRing:
 
     Degrees 0..dmax are built on first use, one `RingDegree` each, and
     memoized on the ring: the Betti numbers below the regularity read only
-    degrees up to reg + 1.  Every degree is checked against the Ehrhart
+    degrees up to reg.  Every degree is checked against the Ehrhart
     polynomial, and its codes are checked to be distinct, when it is built.
     """
 
@@ -170,8 +179,8 @@ class GradedSectionRing:
     degrees: Dict[int, RingDegree] = field(
         default_factory=dict, repr=False, hash=False, compare=False
     )
-    # q -> the wedge table of `_wedge`, filled on first use
-    wedges: Dict[int, tuple] = field(
+    # q -> the `_Wedge` table of wedge^q V, filled on first use
+    wedges: Dict[int, "_Wedge"] = field(
         default_factory=dict, repr=False, hash=False, compare=False
     )
     # d -> the shift table of `_shift`, filled on first use
@@ -180,10 +189,6 @@ class GradedSectionRing:
     )
     # d -> the down-shift table of `_down`, filled on first use
     downs: Dict[int, tuple] = field(
-        default_factory=dict, repr=False, hash=False, compare=False
-    )
-    # (q, d) -> the `_Level` split of wedge^q V (x) R_d, filled on first use
-    levels: Dict[Tuple[int, int], "_Level"] = field(
         default_factory=dict, repr=False, hash=False, compare=False
     )
     # d -> the generator-pair maps of `compose_is_zero`, with the two shift
@@ -210,7 +215,6 @@ class GradedSectionRing:
                 raise ConsistencyError(f"two points of bases[{d}] share a code (radix {M})")
             deg = self.degrees[d] = RingDegree(
                 basis=basis,
-                index={p: k for k, p in enumerate(basis)},
                 codes=codes,
                 code_index={u: k for k, u in enumerate(codes)},
             )
@@ -281,31 +285,40 @@ class NpVerdict:
 # bases[d]; its multidegree is sum_{s in S} bases[1][s] + bases[d][r], keyed by
 # its code sum_{s in S} codes[1][s] + codes[d][r], injective by the radix bound
 
-def _wedge(ring: GradedSectionRing, q: int):
-    """(codes, faces, masks, position) for wedge^q V, memoized on the ring.
+class _Wedge(NamedTuple):
+    """The table of wedge^q V, one entry per q-subset S in combinations order.
 
     codes[k] is the code of sum_{s in S} bases[1][s] for the k-th q-subset S;
     faces[k] lists (sign, s, position of S minus s among the (q-1)-subsets)
     for each s in S, with the sign (-1)^t of its place t in S; masks[k] is
-    S as the bitmask sum_{s in S} 2^s, and position maps masks[k] back to k,
-    filled when a Morse column first reads it (`_differential_columns`).
+    S as the bitmask sum_{s in S} 2^s, and position maps masks[k] back to k.
     """
+
+    codes: list
+    faces: list
+    masks: list
+    position: Dict[int, int]
+
+
+def _wedge(ring: GradedSectionRing, q: int) -> _Wedge:
+    """The `_Wedge` table of wedge^q V, memoized on the ring."""
     table = ring.wedges.get(q)
     if table is None:
         n = ring.dim_V
         gen_codes = ring.degree(1).codes
         smaller = itertools.combinations(range(n), max(q - 1, 0))
-        position = {S: k for k, S in enumerate(smaller)}
+        below = {S: k for k, S in enumerate(smaller)}
         bits = [1 << s for s in range(n)]
         codes, faces, masks = [], [], []
         for S in itertools.combinations(range(n), q):
             codes.append(sum(map(gen_codes.__getitem__, S)))
             faces.append(tuple(
-                (-1 if t % 2 else 1, s, position[S[:t] + S[t + 1:]])
+                (-1 if t % 2 else 1, s, below[S[:t] + S[t + 1:]])
                 for t, s in enumerate(S)
             ))
             masks.append(sum(map(bits.__getitem__, S)))
-        table = ring.wedges[q] = (codes, faces, masks, {})
+        position = {S: k for k, S in enumerate(masks)}
+        table = ring.wedges[q] = _Wedge(codes, faces, masks, position)
     return table
 
 
@@ -346,7 +359,7 @@ def _level_blocks(ring: GradedSectionRing, q: int, d: int):
         return blocks
     level = ring.degree(d).codes
     e = 0  # = k * len(level) + r
-    for s_code in _wedge(ring, q)[0]:
+    for s_code in _wedge(ring, q).codes:
         for p_code in level:
             u = s_code + p_code
             block = blocks.get(u)
@@ -356,35 +369,6 @@ def _level_blocks(ring: GradedSectionRing, q: int, d: int):
                 block.append(e)
             e += 1
     return blocks
-
-
-class _Level(NamedTuple):
-    """Level wedge^q V (x) R_d split into blocks: element e of a block is
-    the face masks[e // size] with the ring element e % size."""
-
-    blocks: Dict[int, List[int]]
-    size: int  # |R_d|
-    masks: list  # the wedge table's masks of wedge^q V
-
-    def cells(self, u: int) -> set:
-        """The block at u as the bitmasks of its faces: within one block the
-        multidegree fixes each ring element."""
-        size, masks = self.size, self.masks
-        return {masks[e // size] for e in self.blocks.get(u, ())}
-
-
-def _level(ring: GradedSectionRing, q: int, d: int) -> _Level:
-    """The split of wedge^q V (x) R_d, made once per ring; a level that does
-    not exist has no blocks."""
-    level = ring.levels.get((q, d))
-    if level is None:
-        blocks = _level_blocks(ring, q, d)
-        if blocks:
-            level = _Level(blocks, ring.dim(d), _wedge(ring, q)[2])
-        else:
-            level = _Level(blocks, 0, [])
-        ring.levels[(q, d)] = level
-    return level
 
 
 def _differential_columns(ring, q, cells, rows, up):
@@ -403,10 +387,9 @@ def _differential_columns(ring, q, cells, rows, up):
     explicit stack; a cell that waits on itself means the matching was not
     acyclic.
     """
-    _, faces, masks, position = _wedge(ring, q)
-    if not position:
-        position.update((S, k) for k, S in enumerate(masks))
-    lower = _wedge(ring, q - 1)[2]
+    wedge = _wedge(ring, q)
+    faces, position = wedge.faces, wedge.position
+    lower = _wedge(ring, q - 1).masks
     memo: Dict[int, Dict[int, int]] = {}  # matched cell -> its projection
     opened = set()
 
@@ -497,8 +480,8 @@ def _matching_order(count: List[int]) -> List[int]:
 
 
 class _Morse(NamedTuple):
-    """What the matching of one open block leaves: its critical cells by
-    level, and each matched target and middle cell's upper partner."""
+    """What the matching of one block leaves: its critical cells by level,
+    and each matched target and middle cell's upper partner."""
 
     low: set
     middle: set
@@ -507,32 +490,35 @@ class _Morse(NamedTuple):
     up_mid: Dict[int, int]
 
 
-def _morse_count(ring: GradedSectionRing, i: int, j: int, u: int, mid: _Level, down):
-    """(critical middle cells, decided, matching) for the block at u of
-    strand (i, j).
+def _morse_count(elements: List[int], size: int, masks: list, down, n: int) -> Optional[_Morse]:
+    """The matching of one block of a strand's middle level: None when
+    Delta_u is a cone at level i, else the block's `_Morse` record.
 
-    `mid` is the split of wedge^i V (x) R_{j-i} and `down` its degree's
-    down-shift table.  The cells are matched one generator at a time
-    (module docstring); the source and target levels are read only past the
-    cone exit.  When `decided`, the block's Betti number is the count and
-    the matching is None; otherwise the block is open and the matching its
-    `_Morse` record.
+    `elements` is the block in wedge^i V (x) R_d, `size` = |R_d|, `masks` the
+    wedge table's masks of wedge^i V, `down` the down-shift table of degree d
+    and n = dim V.  The source and target cells are read off the spans, and
+    the cells are matched one generator at a time (module docstring).
     """
-    size, masks = mid.size, mid.masks
+    faces = [masks[e // size] for e in elements]
     # the span of e = e_S (x) r: the v with v in S or S + {v} a source face
-    spans = [masks[e // size] | down[e % size] for e in mid.blocks[u]]
+    spans = [S | down[e % size] for S, e in zip(faces, elements)]
     if reduce(and_, spans):
-        return 0, True, None  # Delta_u is a cone at level i
+        return None  # Delta_u is a cone at level i
     # count[v] = #{middle faces with v} + #{source faces with v}, the number
-    # of spans that hold v
-    count = [0] * ring.dim_V
-    for span in spans:
+    # of spans that hold v; a bit of S gives the target face S - {v}, any
+    # other bit the source face S + {v}
+    count = [0] * n
+    low, high = set(), set()
+    for S, span in zip(faces, spans):
         while span:
             bit = span & -span
             count[bit.bit_length() - 1] += 1
+            if S & bit:
+                low.add(S ^ bit)
+            else:
+                high.add(S | bit)
             span ^= bit
-    low = _level(ring, i - 1, j - i + 1).cells(u)
-    middle, high = mid.cells(u), _level(ring, i + 1, j - i - 1).cells(u)
+    middle = set(faces)
     up_low: Dict[int, int] = {}
     up_mid: Dict[int, int] = {}
     for v in _matching_order(count):
@@ -550,32 +536,29 @@ def _morse_count(ring: GradedSectionRing, i: int, j: int, u: int, mid: _Level, d
                     lower.difference_update(paired)
                     upper.difference_update(partners)
                     up.update(zip(paired, partners))
-    if not middle or not (low or high):
-        return len(middle), True, None
-    return len(middle), False, _Morse(low, middle, high, up_low, up_mid)
+    return _Morse(low, middle, high, up_low, up_mid)
 
 
 def _strand_betti(ring: GradedSectionRing, i: int, j: int, policy: RankPolicy) -> int:
     """The sum over the strand's blocks of their Betti numbers.
 
-    The middle level is split once per ring.  Each block is first matched
-    (`_morse_count`): a cone adds 0, and so does a block left with no
-    critical middle cell, while a block left with no critical source or
-    target cell adds its critical middle cells.  An open block adds
+    Only the middle level is split.  Each block is first matched
+    (`_morse_count`): a cone adds 0, and any other block adds
     #critical middle cells - rank(outgoing) - rank(incoming) of its Morse
-    complex, and only those two maps on critical cells are assembled and
-    ranked.
+    complex.  Only the maps with a critical source and a critical target
+    cell are assembled and ranked; any other map has rank 0.
     """
-    mid = _level(ring, i, j - i)
-    down = _down(ring, j - i) if mid.blocks else ()
+    d = j - i
+    blocks = _level_blocks(ring, i, d)
+    if not blocks:
+        return 0
+    size, masks, down, n = ring.dim(d), _wedge(ring, i).masks, _down(ring, d), ring.dim_V
     total = 0
-    for u in mid.blocks:
-        critical, decided, morse = _morse_count(ring, i, j, u, mid, down)
-        if decided:
-            total += critical
+    for u, elements in blocks.items():
+        morse = _morse_count(elements, size, masks, down, n)
+        if morse is None:
             continue
-        # the outgoing map, then the incoming one; a map with no critical
-        # source or no critical target cell has rank 0
+        # the outgoing map, then the incoming one
         ranks = [0, 0]
         maps = ((i, morse.middle, morse.low, morse.up_low),
                 (i + 1, morse.high, morse.middle, morse.up_mid))
@@ -587,6 +570,7 @@ def _strand_betti(ring: GradedSectionRing, i: int, j: int, policy: RankPolicy) -
                 # dense rows for Bareiss instead
                 ranks[k] = rank(_dense(cols, len(rows)) if policy.certify else cols, policy)
         rank_out, rank_in = ranks
+        critical = len(morse.middle)
         b = critical - rank_out - rank_in
         if b < 0:
             raise ConsistencyError(
@@ -621,8 +605,8 @@ def compose_is_zero(ring: GradedSectionRing, i: int, j: int) -> bool:
         return True
     _check_window(ring, i, j)
     d = j - i - 1
-    faces_in = _wedge(ring, i + 1)[1]
-    faces_out = _wedge(ring, i)[1]
+    faces_in = _wedge(ring, i + 1).faces
+    faces_out = _wedge(ring, i).faces
     first, second = _shift(ring, d), _shift(ring, d + 1)
     # pair_map[s][t] = the id of the map r -> x_t x_s r, equal maps one id;
     # kept per d with the two tables it was read from, and read anew when
