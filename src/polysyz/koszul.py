@@ -104,23 +104,25 @@ strand splits only its middle level into blocks (`_level_blocks`); level
 (q, d) is the middle of the one strand (q, q + d), so nothing is kept.
 Within one block the multidegree fixes the ring element of each face, so a
 block's cells are the bitmasks of their faces, and a Morse column reads its
-faces and signs from the wedge table, through its bitmask -> position map.
+faces, bitmasks too, and signs from the wedge table, keyed by bitmask.  A
+degree keeps only its basis and codes; the one map from a code back to its
+index in the basis is built by the shift table, its one reader (`_shift`).
 
 The check d o d = 0 (`compose_is_zero`) builds no block.  On e_S (x) r the
 composite is a sum over ordered pairs s != t in S of signed terms
 e_{S - {s, t}} (x) x_t x_s r, with signs and faces read from the ring's wedge
-tables and x_t x_s r read in two steps from its shift tables (shift_d[s][r]
-is the index of bases[d][r] + bases[1][s] in bases[d + 1]): the Morse
-columns read the same wedge tables, and the matching reads the down-shift
-masks inverted from the same shift tables; one code sum for x_t x_s r would
-commute by construction and so check nothing.  Per S, the terms are
-grouped by target face and by the map r -> x_t x_s r over all of R_d; when
-every group's sign sum is zero the composite vanishes on e_S (x) r for every
-r at once, and any other face is summed pointwise.  Both branches evaluate
-the literal composite, so the check is exact in both directions; it costs
-about C(n, q) * q(q-1) face steps per strand, n = dim V, q = i + 1, plus
-n(n-1) * |R_d| shift reads for the pair maps, which depend only on d and are
-built once per (ring, d).
+tables, keyed by bitmask, and x_t x_s r read in two steps from its shift
+tables (shift_d[s][r] is the index of bases[d][r] + bases[1][s] in
+bases[d + 1]): the Morse columns read the same wedge tables, and the matching
+reads the down-shift masks inverted from the same shift tables; one code sum
+for x_t x_s r would commute by construction and so check nothing.  Per S,
+the terms are grouped by target face and by the map r -> x_t x_s r over all
+of R_d; when every group's sign sum is zero the composite vanishes on
+e_S (x) r for every r at once, and any other face is summed pointwise.  Both
+branches evaluate the literal composite, so the check is exact in both
+directions; it costs about C(n, q) * q(q-1) face steps per strand,
+n = dim V, q = i + 1, plus n(n-1) * |R_d| shift reads for the pair maps,
+which depend only on d and are built once per (ring, d).
 
 A middle level wedge^q V (x) R_d that does not exist (q > dim V, d < 0 or
 d > dmax) has no blocks.  A middle cell has no target face at q = 0 and no
@@ -145,13 +147,12 @@ from .ranks import RankPolicy, rank
 
 
 class RingDegree(NamedTuple):
-    """Degree d of the section ring: the lattice points of c*d*P."""
+    """Degree d of the section ring: the lattice points of c*d*P and their
+    codes.  `_shift` builds the map from code back to index that it reads."""
 
     basis: Tuple[LatticePoint, ...]
-    # codes[r] is the additive int code of basis[r] (see the module
-    # docstring); code_index maps a code back to its index in basis
+    # codes[r] is the additive int code of basis[r] (see the module docstring)
     codes: Tuple[int, ...]
-    code_index: Dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -191,8 +192,7 @@ class GradedSectionRing:
     downs: Dict[int, tuple] = field(
         default_factory=dict, repr=False, hash=False, compare=False
     )
-    # d -> the generator-pair maps of `compose_is_zero`, with the two shift
-    # tables they were read from
+    # d -> the generator-pair maps of `compose_is_zero`, filled on first use
     pair_maps: Dict[int, tuple] = field(
         default_factory=dict, repr=False, hash=False, compare=False
     )
@@ -213,11 +213,7 @@ class GradedSectionRing:
             codes = tuple(sum(x * M**k for k, x in enumerate(p)) for p in basis)
             if len(set(codes)) != len(codes):
                 raise ConsistencyError(f"two points of bases[{d}] share a code (radix {M})")
-            deg = self.degrees[d] = RingDegree(
-                basis=basis,
-                codes=codes,
-                code_index={u: k for k, u in enumerate(codes)},
-            )
+            deg = self.degrees[d] = RingDegree(basis=basis, codes=codes)
         return deg
 
     @property
@@ -286,18 +282,18 @@ class NpVerdict:
 # its code sum_{s in S} codes[1][s] + codes[d][r], injective by the radix bound
 
 class _Wedge(NamedTuple):
-    """The table of wedge^q V, one entry per q-subset S in combinations order.
+    """The table of wedge^q V.
 
-    codes[k] is the code of sum_{s in S} bases[1][s] for the k-th q-subset S;
-    faces[k] lists (sign, s, position of S minus s among the (q-1)-subsets)
-    for each s in S, with the sign (-1)^t of its place t in S; masks[k] is
-    S as the bitmask sum_{s in S} 2^s, and position maps masks[k] back to k.
+    codes[k] is the code of sum_{s in S} bases[1][s] for the k-th q-subset S
+    in combinations order, and masks[k] is S as the bitmask
+    sum_{s in S} 2^s.  faces maps each such bitmask S, in the same order, to
+    (sign, s, S - {s}) for each s in S, the face a bitmask too, with the sign
+    (-1)^t of the place t of s in S.
     """
 
     codes: list
-    faces: list
     masks: list
-    position: Dict[int, int]
+    faces: Dict[int, tuple]
 
 
 def _wedge(ring: GradedSectionRing, q: int) -> _Wedge:
@@ -306,19 +302,16 @@ def _wedge(ring: GradedSectionRing, q: int) -> _Wedge:
     if table is None:
         n = ring.dim_V
         gen_codes = ring.degree(1).codes
-        smaller = itertools.combinations(range(n), max(q - 1, 0))
-        below = {S: k for k, S in enumerate(smaller)}
         bits = [1 << s for s in range(n)]
-        codes, faces, masks = [], [], []
+        codes, masks, faces = [], [], {}
         for S in itertools.combinations(range(n), q):
             codes.append(sum(map(gen_codes.__getitem__, S)))
-            faces.append(tuple(
-                (-1 if t % 2 else 1, s, below[S[:t] + S[t + 1:]])
-                for t, s in enumerate(S)
-            ))
-            masks.append(sum(map(bits.__getitem__, S)))
-        position = {S: k for k, S in enumerate(masks)}
-        table = ring.wedges[q] = _Wedge(codes, faces, masks, position)
+            mask = sum(map(bits.__getitem__, S))
+            masks.append(mask)
+            faces[mask] = tuple(
+                (-1 if t % 2 else 1, s, mask ^ bits[s]) for t, s in enumerate(S)
+            )
+        table = ring.wedges[q] = _Wedge(codes, masks, faces)
     return table
 
 
@@ -329,7 +322,7 @@ def _shift(ring: GradedSectionRing, d: int):
     if table is None:
         gen_codes = ring.degree(1).codes
         codes = ring.degree(d).codes
-        up = ring.degree(d + 1).code_index
+        up = {u: k for k, u in enumerate(ring.degree(d + 1).codes)}
         table = ring.shifts[d] = tuple(
             tuple(up[p + g] for p in codes) for g in gen_codes
         )
@@ -374,34 +367,29 @@ def _level_blocks(ring: GradedSectionRing, q: int, d: int):
 def _differential_columns(ring, q, cells, rows, up):
     """Sparse columns of the Morse differential of one block on its critical
     cells `cells` of wedge^q V (bitmasks), with row rows[F] for each critical
-    cell F of wedge^{q-1} V.
+    cell F of wedge^{q-1} V and the block's partner map `up` (`_Morse`).
 
-    The Koszul boundary of S is sum_t (-1)^t (S - s_t), s_0 < s_1 < ..., read
-    from the wedge table.  A face F of S is replaced by its projection: a
-    critical F is its own row; a matched F, with partner up[F] = F + {v} in
-    wedge^q V, is eliminated along the unit entry e = [up[F] : F], so it
-    projects to -e times the sum of [up[F] : F'] * projection(F') over the
-    other faces F' of up[F]; any other F is matched down and projects to 0.
-    That is the sum over the gradient paths from S (module docstring).  Each
-    projection is memoized, so each matched cell is expanded once, with an
-    explicit stack; a cell that waits on itself means the matching was not
-    acyclic.
+    The Koszul boundary of S is sum_t (-1)^t (S - s_t), s_0 < s_1 < ...,
+    read from the wedge table by bitmask.  A face F of S is replaced by its
+    projection: a critical F is its own row; a matched F, with partner
+    up[F] = F + {v} in wedge^q V, is eliminated along the unit entry
+    e = [up[F] : F], so it projects to -e times the sum of
+    [up[F] : F'] * projection(F') over the other faces F' of up[F]; any
+    other F is matched down and projects to 0.  That is the sum over the
+    gradient paths from S (module docstring).  Each projection is memoized,
+    so each matched cell is expanded once, with an explicit stack; a cell
+    that waits on itself means the matching was not acyclic.
     """
-    wedge = _wedge(ring, q)
-    faces, position = wedge.faces, wedge.position
-    lower = _wedge(ring, q - 1).masks
+    faces = _wedge(ring, q).faces
     memo: Dict[int, Dict[int, int]] = {}  # matched cell -> its projection
     opened = set()
 
-    def boundary(S):
-        return [(sign, lower[k]) for sign, _, k in faces[position[S]]]
-
     def combine(terms):
-        # the sum of sign * projection(F) over the terms (sign, F), for faces
-        # that are critical, done or matched down; a face being expanded is
-        # none of these, so it drops out of its own partner's boundary
+        # the sum of sign * projection(F) over the terms (sign, s, F), for
+        # faces that are critical, done or matched down; a face being expanded
+        # is none of these, so it drops out of its own partner's boundary
         acc: Dict[int, int] = {}
-        for sign, F in terms:
+        for sign, _, F in terms:
             row = rows.get(F)
             if row is not None:
                 acc[row] = acc.get(row, 0) + sign
@@ -417,8 +405,8 @@ def _differential_columns(ring, q, cells, rows, up):
             if F in memo:
                 stack.pop()
                 continue
-            terms = boundary(up[F])
-            waiting = [G for _, G in terms if G in up and G not in memo and G != F]
+            terms = faces[up[F]]
+            waiting = [G for _, _, G in terms if G in up and G not in memo and G != F]
             if waiting:
                 if F in opened:
                     raise ConsistencyError("the Morse matching has a cycle")
@@ -426,13 +414,13 @@ def _differential_columns(ring, q, cells, rows, up):
                 stack.extend(waiting)
                 continue
             stack.pop()
-            e = next(sign for sign, G in terms if G == F)
+            e = next(sign for sign, _, G in terms if G == F)
             memo[F] = {row: -e * x for row, x in combine(terms).items() if x}
 
     cols = []
     for S in cells:
-        terms = boundary(S)
-        for _, F in terms:
+        terms = faces[S]
+        for _, _, F in terms:
             if F in up and F not in memo:
                 project(F)
         cols.append({row: x for row, x in combine(terms).items() if x})
@@ -481,13 +469,14 @@ def _matching_order(count: List[int]) -> List[int]:
 
 class _Morse(NamedTuple):
     """What the matching of one block leaves: its critical cells by level,
-    and each matched target and middle cell's upper partner."""
+    and up, which maps each cell matched up, target or middle, to its
+    partner.  A target cell has one bit fewer than a middle cell, so the
+    two levels' keys never collide."""
 
     low: set
     middle: set
     high: set
-    up_low: Dict[int, int]
-    up_mid: Dict[int, int]
+    up: Dict[int, int]
 
 
 def _morse_count(elements: List[int], size: int, masks: list, down, n: int) -> Optional[_Morse]:
@@ -519,8 +508,7 @@ def _morse_count(elements: List[int], size: int, masks: list, down, n: int) -> O
                 high.add(S | bit)
             span ^= bit
     middle = set(faces)
-    up_low: Dict[int, int] = {}
-    up_mid: Dict[int, int] = {}
+    up: Dict[int, int] = {}
     for v in _matching_order(count):
         if not middle or not (low or high):
             break
@@ -528,7 +516,7 @@ def _morse_count(elements: List[int], size: int, masks: list, down, n: int) -> O
         # pair each unmatched S without v with an unmatched S + {v}; the middle
         # cells paired down hold v and those paired up lack it, so no cell is
         # paired twice
-        for lower, upper, up in ((low, middle, up_low), (middle, high, up_mid)):
+        for lower, upper in ((low, middle), (middle, high)):
             if lower and upper:
                 paired = [S for S in lower if not S & bit and S | bit in upper]
                 if paired:
@@ -536,7 +524,7 @@ def _morse_count(elements: List[int], size: int, masks: list, down, n: int) -> O
                     lower.difference_update(paired)
                     upper.difference_update(partners)
                     up.update(zip(paired, partners))
-    return _Morse(low, middle, high, up_low, up_mid)
+    return _Morse(low, middle, high, up)
 
 
 def _strand_betti(ring: GradedSectionRing, i: int, j: int, policy: RankPolicy) -> int:
@@ -560,12 +548,11 @@ def _strand_betti(ring: GradedSectionRing, i: int, j: int, policy: RankPolicy) -
             continue
         # the outgoing map, then the incoming one
         ranks = [0, 0]
-        maps = ((i, morse.middle, morse.low, morse.up_low),
-                (i + 1, morse.high, morse.middle, morse.up_mid))
-        for k, (q, cells, lower, up) in enumerate(maps):
+        maps = ((i, morse.middle, morse.low), (i + 1, morse.high, morse.middle))
+        for k, (q, cells, lower) in enumerate(maps):
             if cells and lower:
                 rows = {F: row for row, F in enumerate(lower)}
-                cols = _differential_columns(ring, q, cells, rows, up)
+                cols = _differential_columns(ring, q, cells, rows, morse.up)
                 # the sparse columns go straight to `rank`; certify hands it
                 # dense rows for Bareiss instead
                 ranks[k] = rank(_dense(cols, len(rows)) if policy.certify else cols, policy)
@@ -607,32 +594,31 @@ def compose_is_zero(ring: GradedSectionRing, i: int, j: int) -> bool:
     d = j - i - 1
     faces_in = _wedge(ring, i + 1).faces
     faces_out = _wedge(ring, i).faces
-    first, second = _shift(ring, d), _shift(ring, d + 1)
-    # pair_map[s][t] = the id of the map r -> x_t x_s r, equal maps one id;
-    # kept per d with the two tables it was read from, and read anew when
-    # either table is not the one the ring holds now
+    # pair_map[s][t] = the id of the map r -> x_t x_s r, equal maps one id,
+    # and maps[id] that map; kept per d
     cached = ring.pair_maps.get(d)
-    if cached is None or cached[0] is not first or cached[1] is not second:
+    if cached is None:
+        first, second = _shift(ring, d), _shift(ring, d + 1)
         ids: Dict[tuple, int] = {}
         pair_map = [
             [ids.setdefault(tuple(map(after.__getitem__, row)), len(ids)) for after in second]
             for row in first
         ]
-        cached = ring.pair_maps[d] = (first, second, pair_map, list(ids))
-    _, _, pair_map, maps = cached
+        cached = ring.pair_maps[d] = (pair_map, list(ids))
+    pair_map, maps = cached
     n_src = ring.dim(d)
-    for faces in faces_in:
+    for faces in faces_in.values():
         sums: Dict[Tuple[int, int], int] = {}
-        for sign, s, k2 in faces:
+        for sign, s, F in faces:
             ids_s = pair_map[s]
-            for sign2, t, k3 in faces_out[k2]:
-                key = (k3, ids_s[t])
+            for sign2, t, G in faces_out[F]:
+                key = (G, ids_s[t])
                 sums[key] = sums.get(key, 0) + sign * sign2
         # a group whose signs cancel adds nothing at any r
         open_faces: Dict[int, list] = {}
-        for (k3, m), v in sums.items():
+        for (G, m), v in sums.items():
             if v:
-                open_faces.setdefault(k3, []).append((v, maps[m]))
+                open_faces.setdefault(G, []).append((v, maps[m]))
         for terms in open_faces.values():
             for r in range(n_src):
                 acc: Dict[int, int] = {}

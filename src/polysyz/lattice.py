@@ -51,18 +51,23 @@ class LatticePolytope:
 
         Raises DegenerateInput if the points do not span the ambient space;
         run normalize_full_dim first in that case.
+
+        The facets through a point cut out the least face that holds it, and
+        every face is the hull of the input points on it.  So a point is a
+        vertex exactly when no other input point lies on every facet it lies
+        on, tested as inclusion of facet bitmasks.
         """
         pts, _ = _point_set(points)
         n = len(pts[0])
         if n == 0:
             return _POINT
         facets = tuple(convex_hull_facets(pts))
-        verts = []
-        for p in pts:
-            tight = [f.normal for f in facets if f.eval(p) == 0]
-            if tight and exact_rank(tight) == n:
-                verts.append(p)
-        return cls(vertices=tuple(sorted(verts)), facets=facets, ambient_dim=n, dim=n)
+        tight = [sum(1 << k for k, f in enumerate(facets) if f.eval(p) == 0) for p in pts]
+        verts = tuple(
+            p for a, (p, mask) in enumerate(zip(pts, tight))
+            if not any(b != a and other & mask == mask for b, other in enumerate(tight))
+        )
+        return cls(vertices=verts, facets=facets, ambient_dim=n, dim=n)
 
     def translate(self, t: LatticePoint) -> "LatticePolytope":
         return LatticePolytope.from_points(

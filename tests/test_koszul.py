@@ -103,10 +103,11 @@ class TestCodes:
         ring = build_ring(simplex112, 2, 3)
         for a in range(3):
             low, gens, up = ring.degree(a), ring.degree(1), ring.degree(a + 1)
+            index = {code: k for k, code in enumerate(up.codes)}
             for r, u in enumerate(low.basis):
                 for s, v in enumerate(gens.basis):
                     w = tuple(x + y for x, y in zip(u, v))
-                    k = up.code_index[low.codes[r] + gens.codes[s]]
+                    k = index[low.codes[r] + gens.codes[s]]
                     assert up.basis[k] == w
 
     def test_radix_covers_every_multidegree(self, cubic_triangle, simplex112, corpus3d):
@@ -300,11 +301,11 @@ def _matched_blocks(ring, i, j):
             decided = not morse.middle or not (morse.low or morse.high)
         if not decided:
             morse_b = critical
-            for q, cells, lower, up in ((i, morse.middle, morse.low, morse.up_low),
-                                        (i + 1, morse.high, morse.middle, morse.up_mid)):
+            for q, cells, lower in ((i, morse.middle, morse.low),
+                                    (i + 1, morse.high, morse.middle)):
                 if cells and lower:
                     rows = {F: row for row, F in enumerate(lower)}
-                    cols = koszul._differential_columns(ring, q, cells, rows, up)
+                    cols = koszul._differential_columns(ring, q, cells, rows, morse.up)
                     morse_b -= exact_rank(koszul._dense(cols, len(rows)))
                     ranked += 1
         yield _Block(u, critical, decided, morse is None, b, morse_b, ranked,
@@ -426,15 +427,41 @@ class TestMorseMatching:
                         low = _cells(ring, tgt.get(u, ()), i - 1, d + 1)
                         faces = {S ^ bit for S in middle
                                  for bit in (1 << s for s in range(ring.dim_V)) if S & bit}
-                        matched = set(morse.up_low.values()) | set(morse.up_mid)
-                        assert morse.middle | matched == middle, where
-                        assert morse.high | set(morse.up_mid.values()) == high, where
-                        assert morse.low | set(morse.up_low) == low & faces, where
+                        # each level's cells, critical or matched; a level
+                        # is told by its popcount
+                        matched = set(morse.up) | set(morse.up.values())
+                        for critical, cells, q in ((morse.low, low & faces, i - 1),
+                                                   (morse.middle, middle, i),
+                                                   (morse.high, high, i + 1)):
+                            at_q = {F for F in matched if F.bit_count() == q}
+                            assert critical | at_q == cells, where
                         cut["source"] += bool(high)
                         cut["target"] += bool(low & faces)
                         cut["left out"] += bool(low - faces)
         # some blocks have target cells of no middle face, which the cut leaves out
         assert cut["source"] > 100 and cut["target"] > 100 and cut["left out"] > 0, cut
+
+    def test_partner_map_is_a_matching(self, corpus50):
+        # one map holds the pairs of both levels: each pair is one bit apart,
+        # no cell is matched twice, and no critical cell is matched
+        pairs = 0
+        for name, c, ring, max_i, max_slope in self._rings(corpus50):
+            for i in range(max_i + 1):
+                for j in range(i, i + max_slope + 1):
+                    for u, mid, morse in _morse_blocks(ring, i, j):
+                        if morse is None:
+                            continue
+                        where = (name, c, i, j, u)
+                        up = morse.up
+                        for F, T in up.items():
+                            assert F & T == F and (T ^ F).bit_count() == 1, where
+                        keys, values = set(up), set(up.values())
+                        assert len(values) == len(up) and keys.isdisjoint(values), where
+                        critical = (morse.low, morse.middle, morse.high)
+                        assert sum(map(len, critical)) == len(set().union(*critical)), where
+                        assert all(cells.isdisjoint(keys | values) for cells in critical), where
+                        pairs += len(up)
+        assert pairs > 1000
 
     def test_only_open_blocks_are_ranked(self, cubic_triangle, monkeypatch):
         # the engine ranks each Morse map of the open blocks that has a
@@ -584,22 +611,23 @@ class TestComplexIntegrity:
         ring = build_ring(cubic_triangle, 1, 4)
         assert compose_is_zero(ring, 1, j)
         # the first q-subset's boundary, unmatched, onto every (q-1)-subset
-        cell = [koszul._wedge(ring, q)[2][0]]
-        rows = {F: row for row, F in enumerate(koszul._wedge(ring, q - 1)[2])}
-        before = koszul._differential_columns(ring, q, cell, rows, {})
-        faces = ring.wedges[q][1]
-        (sign, s, k2), *rest = faces[0]
-        faces[0] = ((-sign, s, k2), *rest)
+        S = koszul._wedge(ring, q).masks[0]
+        rows = {F: row for row, F in enumerate(koszul._wedge(ring, q - 1).masks)}
+        before = koszul._differential_columns(ring, q, [S], rows, {})
+        faces = ring.wedges[q].faces
+        (sign, s, F), *rest = faces[S]
+        faces[S] = ((-sign, s, F), *rest)
         assert compose_is_zero(ring, 1, j) is False
-        assert koszul._differential_columns(ring, q, cell, rows, {}) != before
+        assert koszul._differential_columns(ring, q, [S], rows, {}) != before
 
     # two entries of one row of the shift table x_0 * (-): R_d -> R_{d+1}
-    # swapped, at the first (d = j - 2) or second (d = j - 1) step of x_t x_s r
+    # swapped, at the first (d = j - 2) or second (d = j - 1) step of x_t x_s r,
+    # on a fresh ring before the check first reads the table
     @pytest.mark.parametrize("j, d", [(2, 1), (3, 1), (3, 2)])
     def test_swapped_shift_is_caught(self, cubic_triangle, j, d):
+        assert compose_is_zero(build_ring(cubic_triangle, 1, 4), 1, j)
         ring = build_ring(cubic_triangle, 1, 4)
-        assert compose_is_zero(ring, 1, j)
-        table = ring.shifts[d]
+        table = koszul._shift(ring, d)
         row = list(table[0])
         row[0], row[1] = row[1], row[0]
         ring.shifts[d] = (tuple(row),) + table[1:]

@@ -73,6 +73,27 @@ class TestConvexHullFacets:
         assert P.vertices == ((0, 0), (0, 2), (2, 0))
 
 
+class TestVertices:
+    # the exhaustive barycentric search costs C(m - 1, n + 1) solves for each
+    # vertex of an m-point set, so it runs on the sets of at most 12 points
+    ORACLE_POINTS = 12
+
+    def test_vertices_of_lattice_point_sets(self, corpus2d, corpus3d):
+        # the vertices of kP read off the facets of its lattice points, and
+        # each point a vertex exactly when the other points' hull misses it
+        checked = 0
+        for P in corpus2d + corpus3d[::4]:
+            for k in (1, 2):
+                pts = lattice_points(P, k)
+                verts = LatticePolytope.from_points(pts).vertices
+                assert verts == tuple(sorted(tuple(k * x for x in v) for v in P.vertices))
+                if len(pts) <= self.ORACLE_POINTS:
+                    for a, x in enumerate(pts):
+                        assert (x in verts) == (not in_hull(pts[:a] + pts[a + 1:], x)), (P, k, x)
+                    checked += 1
+        assert checked > 40, checked
+
+
 class TestNormalizeFullDim:
     def test_already_full_dimensional_unchanged(self):
         P = normalize_full_dim([(0, 0), (2, 0), (0, 2)])
