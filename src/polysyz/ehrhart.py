@@ -85,9 +85,8 @@ def _interpolate(P: LatticePolytope) -> EhrhartPolynomial:
         q = [a - k * b for a, b in zip([0] + q, q + [0])]
         q[0] += weight * diffs[k]
         weight *= k
+    # the leading coefficient is vol(P) > 0 for a full-dimensional P
     coeffs = [Fraction(c, factorial(n)) for c in q]
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
     h = EhrhartPolynomial(tuple(coeffs))
     if h.coeffs[0] != 1 or h.coeffs[-1] <= 0:
         raise ConsistencyError(f"invalid Ehrhart polynomial {coeffs}")

@@ -117,12 +117,17 @@ bases[d + 1]): the Morse columns read the same wedge tables, and the matching
 reads the down-shift masks inverted from the same shift tables; one code sum
 for x_t x_s r would commute by construction and so check nothing.  Per S,
 the terms are grouped by target face and by the map r -> x_t x_s r over all
-of R_d; when every group's sign sum is zero the composite vanishes on
-e_S (x) r for every r at once, and any other face is summed pointwise.  Both
-branches evaluate the literal composite, so the check is exact in both
-directions; it costs about C(n, q) * q(q-1) face steps per strand,
-n = dim V, q = i + 1, plus n(n-1) * |R_d| shift reads for the pair maps,
-which depend only on d and are built once per (ring, d).
+of R_d, and the composite vanishes exactly when every group's sign sum is
+zero.  In the wedge table `_wedge` builds, the face S - {s, t} is reached
+only by the pairs (s, t) and (t, s), so a group holds one of them or both.
+When their maps are equal the group holds both, and the composite's part on
+that face is the group's sign sum times e_{S - {s, t}} (x) x_t x_s r at
+every r.  When their maps differ each group holds one term, of sign sum
++-1, and at an r where x_t x_s r != x_s x_t r the two terms cannot cancel.
+So the grouped rule is exact both ways.  The check costs about
+C(n, q) * q(q-1) face steps per strand, n = dim V, q = i + 1, plus
+n(n-1) * |R_d| shift reads for the pair maps, which depend only on d and
+are built once per (ring, d).
 
 A middle level wedge^q V (x) R_d that does not exist (q > dim V, d < 0 or
 d > dmax) has no blocks.  A middle cell has no target face at q = 0 and no
@@ -193,7 +198,7 @@ class GradedSectionRing:
         default_factory=dict, repr=False, hash=False, compare=False
     )
     # d -> the generator-pair maps of `compose_is_zero`, filled on first use
-    pair_maps: Dict[int, tuple] = field(
+    pair_maps: Dict[int, list] = field(
         default_factory=dict, repr=False, hash=False, compare=False
     )
 
@@ -364,10 +369,11 @@ def _level_blocks(ring: GradedSectionRing, q: int, d: int):
     return blocks
 
 
-def _differential_columns(ring, q, cells, rows, up):
+def _differential_columns(ring, q, cells, critical, up):
     """Sparse columns of the Morse differential of one block on its critical
-    cells `cells` of wedge^q V (bitmasks), with row rows[F] for each critical
-    cell F of wedge^{q-1} V and the block's partner map `up` (`_Morse`).
+    cells `cells` of wedge^q V (bitmasks), each entry keyed by its row: the
+    bitmask of a critical cell F of wedge^{q-1} V, F in `critical`.  `up` is
+    the block's partner map (`_Morse`).
 
     The Koszul boundary of S is sum_t (-1)^t (S - s_t), s_0 < s_1 < ...,
     read from the wedge table by bitmask.  A face F of S is replaced by its
@@ -390,9 +396,8 @@ def _differential_columns(ring, q, cells, rows, up):
         # is none of these, so it drops out of its own partner's boundary
         acc: Dict[int, int] = {}
         for sign, _, F in terms:
-            row = rows.get(F)
-            if row is not None:
-                acc[row] = acc.get(row, 0) + sign
+            if F in critical:
+                acc[F] = acc.get(F, 0) + sign
             elif F in memo:
                 for row, x in memo[F].items():
                     acc[row] = acc.get(row, 0) + sign * x
@@ -427,11 +432,15 @@ def _differential_columns(ring, q, cells, rows, up):
     return cols
 
 
-def _dense(cols, nrows: int):
-    rows = [[0] * len(cols) for _ in range(nrows)]
+def _dense(cols):
+    """The dense rows of sparse columns, one row per key some column holds,
+    in increasing key order; a row no column touches would add nothing to
+    the rank."""
+    index = {F: i for i, F in enumerate(sorted({F for col in cols for F in col}))}
+    rows = [[0] * len(cols) for _ in index]
     for j, col in enumerate(cols):
-        for i, v in col.items():
-            rows[i][j] = v
+        for F, v in col.items():
+            rows[index[F]][j] = v
     return rows
 
 
@@ -504,7 +513,9 @@ def _morse_count(elements: List[int], size: int, masks: list, down, n: int) -> O
             count[bit.bit_length() - 1] += 1
             if S & bit:
                 low.add(S ^ bit)
-            else:
+            elif bit > S:
+                # T = S + {v} is added from S = T - max(T) alone, a middle
+                # cell since Delta_u is closed under subsets
                 high.add(S | bit)
             span ^= bit
     middle = set(faces)
@@ -537,32 +548,26 @@ def _strand_betti(ring: GradedSectionRing, i: int, j: int, policy: RankPolicy) -
     cell are assembled and ranked; any other map has rank 0.
     """
     d = j - i
-    blocks = _level_blocks(ring, i, d)
-    if not blocks:
-        return 0
     size, masks, down, n = ring.dim(d), _wedge(ring, i).masks, _down(ring, d), ring.dim_V
     total = 0
-    for u, elements in blocks.items():
+    for u, elements in _level_blocks(ring, i, d).items():
         morse = _morse_count(elements, size, masks, down, n)
         if morse is None:
             continue
-        # the outgoing map, then the incoming one
-        ranks = [0, 0]
-        maps = ((i, morse.middle, morse.low), (i + 1, morse.high, morse.middle))
-        for k, (q, cells, lower) in enumerate(maps):
+        # rank(outgoing) + rank(incoming)
+        ranked = 0
+        for q, cells, lower in ((i, morse.middle, morse.low), (i + 1, morse.high, morse.middle)):
             if cells and lower:
-                rows = {F: row for row, F in enumerate(lower)}
-                cols = _differential_columns(ring, q, cells, rows, morse.up)
+                cols = _differential_columns(ring, q, cells, lower, morse.up)
                 # the sparse columns go straight to `rank`; certify hands it
                 # dense rows for Bareiss instead
-                ranks[k] = rank(_dense(cols, len(rows)) if policy.certify else cols, policy)
-        rank_out, rank_in = ranks
+                ranked += rank(_dense(cols) if policy.certify else cols, policy)
         critical = len(morse.middle)
-        b = critical - rank_out - rank_in
+        b = critical - ranked
         if b < 0:
             raise ConsistencyError(
                 f"negative Betti block at (i={i}, j={j}, multidegree code {u}): "
-                f"{critical} - {rank_out} - {rank_in}"
+                f"{critical} critical cells but the Morse maps have rank {ranked}"
             )
         total += b
     return total
@@ -578,12 +583,10 @@ def compose_is_zero(ring: GradedSectionRing, i: int, j: int) -> bool:
     steps from its shift tables, `shift_{d+1}[t][shift_d[s][r]]`, the tables
     the Morse columns and the matching read.  For each S the terms are
     grouped by their target face and by the map r -> x_t x_s r as a tuple
-    over R_d (equal maps share one group).  Within one face the composite on
-    e_S (x) r is the sum over the groups of (the group's sign sum) * (its map
-    applied to r), so when every sign sum is zero the face vanishes for every
-    r at once; a face with a nonzero sign sum is summed pointwise over R_d.
-    Both branches evaluate the literal composite, so the answer is exact both
-    ways.  The pair maps depend only on d and are kept on the ring.
+    over R_d (equal maps share one group).  A face S - {s, t} is reached
+    only by the pairs (s, t) and (t, s), so a group with a nonzero sign sum
+    leaves the composite nonzero at some r, and the check is exact (module
+    docstring).  The pair maps depend only on d and are kept on the ring.
     """
     if i < 0 or j < 0:
         raise DegenerateInput("i, j must be nonnegative")
@@ -594,19 +597,16 @@ def compose_is_zero(ring: GradedSectionRing, i: int, j: int) -> bool:
     d = j - i - 1
     faces_in = _wedge(ring, i + 1).faces
     faces_out = _wedge(ring, i).faces
-    # pair_map[s][t] = the id of the map r -> x_t x_s r, equal maps one id,
-    # and maps[id] that map; kept per d
-    cached = ring.pair_maps.get(d)
-    if cached is None:
+    # pair_map[s][t] = the id of the map r -> x_t x_s r, equal maps one id;
+    # kept per d
+    pair_map = ring.pair_maps.get(d)
+    if pair_map is None:
         first, second = _shift(ring, d), _shift(ring, d + 1)
         ids: Dict[tuple, int] = {}
-        pair_map = [
+        pair_map = ring.pair_maps[d] = [
             [ids.setdefault(tuple(map(after.__getitem__, row)), len(ids)) for after in second]
             for row in first
         ]
-        cached = ring.pair_maps[d] = (pair_map, list(ids))
-    pair_map, maps = cached
-    n_src = ring.dim(d)
     for faces in faces_in.values():
         sums: Dict[Tuple[int, int], int] = {}
         for sign, s, F in faces:
@@ -614,18 +614,9 @@ def compose_is_zero(ring: GradedSectionRing, i: int, j: int) -> bool:
             for sign2, t, G in faces_out[F]:
                 key = (G, ids_s[t])
                 sums[key] = sums.get(key, 0) + sign * sign2
-        # a group whose signs cancel adds nothing at any r
-        open_faces: Dict[int, list] = {}
-        for (G, m), v in sums.items():
-            if v:
-                open_faces.setdefault(G, []).append((v, maps[m]))
-        for terms in open_faces.values():
-            for r in range(n_src):
-                acc: Dict[int, int] = {}
-                for v, m in terms:
-                    acc[m[r]] = acc.get(m[r], 0) + v
-                if any(acc.values()):
-                    return False
+        # a group holds (s, t), (t, s) or both, the only pairs that reach G
+        if any(sums.values()):
+            return False
     return True
 
 

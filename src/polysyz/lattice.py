@@ -69,11 +69,6 @@ class LatticePolytope:
         )
         return cls(vertices=verts, facets=facets, ambient_dim=n, dim=n)
 
-    def translate(self, t: LatticePoint) -> "LatticePolytope":
-        return LatticePolytope.from_points(
-            tuple(a + b for a, b in zip(v, t)) for v in self.vertices
-        )
-
 
 # the one 0-dimensional polytope: a point in the 0-dimensional lattice
 _POINT = LatticePolytope(vertices=((),), facets=(), ambient_dim=0, dim=0)

@@ -9,9 +9,10 @@ loses f * p times the pivot; against any other p it becomes p * column -
 f * pivot, divided by the gcd of its entries: a nonzero rational multiple
 of the column plus a combination of pivots, so the span over Q, and with it
 the rank, is unchanged.  Python ints never overflow, so every rank is exact.
-The engine ranks the Morse maps of Koszul blocks (`koszul`): each entry is
-a sum over gradient paths of products of +-1, so any integer, though the
-matrices are small and sparse.
+Row keys are any ints, in any order: the engine ranks the Morse maps of
+Koszul blocks (`koszul`), whose rows are keyed by the bitmasks of their
+critical cells.  Each entry is a sum over gradient paths of products of
++-1, so any integer, though the matrices are small and sparse.
 
 Passing certify=True ranks the dense rows of the same matrix by Bareiss
 elimination instead (`intlinalg.exact_rank`), an independent exact reference.

@@ -45,6 +45,8 @@ class TestBasicCommands:
         data = json.loads(run_ok(runner, ["normality", SIMPLEX]).stdout)
         assert data["normal"] is False
         assert data["witness"] == {"point": [1, 1, 1], "m": 2}
+        data = json.loads(run_ok(runner, ["normality", TRIANGLE]).stdout)
+        assert data["normal"] is True and data["witness"] is None
 
     def test_betti_json(self, runner):
         data = json.loads(
@@ -107,6 +109,9 @@ class TestBasicCommands:
             run_ok(runner, ["predict", CUBIC, "--w1", "2", "--p", "3"]).stdout
         )
         assert data["prediction"] == {"p": 3, "twist": 4}
+        # O(1) on the cubic triangle is not regular, so nothing is predicted
+        data = json.loads(run_ok(runner, ["predict", CUBIC, "--w1", "1", "--p", "1"]).stdout)
+        assert data["regular_m1"] is False and data["prediction"] is None
 
     def test_criteria_product(self, runner):
         result = run_ok(
@@ -163,6 +168,12 @@ class TestExitCodes:
         ["count", CUBIC, "--d", "-1"],
         ["cohomology", CUBIC, "--d", "x"],
         ["corpus", "--dim", "5"],
+        # neither a polytope path nor --product
+        ["cohomology", "--d", "1"],
+        ["regularity", "--m", "1"],
+        ["criteria", "--d", "1"],
+        # --product without --d
+        ["criteria", "--product", "2,2", "--p", "1"],
     ])
     def test_bad_values(self, runner, args):
         result = runner.invoke(cli, args)
@@ -193,15 +204,17 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert result.output.startswith("error: ") and "-1" in result.output
 
-    @pytest.mark.parametrize("vertices, message", [
-        ([], "empty point set"),
-        ([[0, 0], [1]], "points of mixed dimension"),
+    @pytest.mark.parametrize("document, message", [
+        ({"vertices": []}, "empty point set"),
+        ({"vertices": [[0, 0], [1]]}, "points of mixed dimension"),
         # booleans are ints to Python, but no coordinates
-        ([[True, False], [0, 1], [0, 0]], "bad vertex [True, False]"),
-    ], ids=["empty", "mixed", "booleans"])
-    def test_refused_vertices(self, runner, tmp_path, vertices, message):
+        ({"vertices": [[True, False], [0, 1], [0, 0]]}, "bad vertex [True, False]"),
+        ({"points": [[0, 0], [1, 0], [0, 1]]}, 'polytope JSON must be {"vertices"'),
+        ({"vertices": 5}, "vertices must be a list"),
+    ], ids=["empty", "mixed", "booleans", "no-vertices", "not-a-list"])
+    def test_refused_vertices(self, runner, tmp_path, document, message):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"vertices": vertices}))
+        bad.write_text(json.dumps(document))
         result = runner.invoke(cli, ["count", str(bad)])
         assert result.exit_code == 2
         assert result.stderr.startswith("error: ") and message in result.stderr

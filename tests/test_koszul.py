@@ -33,6 +33,11 @@ from .oracles import block_matrix, dense_betti, dense_compose_is_zero
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 
+def _translate(P, t):
+    """P moved by the lattice vector t."""
+    return LatticePolytope.from_points(tuple(a + b for a, b in zip(v, t)) for v in P.vertices)
+
+
 class TestBuildRing:
     def test_cubic_dims(self, cubic_triangle):
         ring = build_ring(cubic_triangle, 1, 3)
@@ -45,6 +50,11 @@ class TestBuildRing:
     def test_cubic_c2_dims(self, cubic_triangle):
         ring = build_ring(cubic_triangle, 2, 3)
         assert [ring.dim(d) for d in range(4)] == [1, 10, 31, 64]
+
+    def test_c_and_dmax_below_one_refused(self, cubic_triangle):
+        for c, dmax in ((0, 1), (1, 0)):
+            with pytest.raises(DegenerateInput, match="need c >= 1 and dmax >= 1"):
+                build_ring(cubic_triangle, c, dmax)
 
     def test_multiplication_closed(self, cubic_triangle):
         ring = build_ring(cubic_triangle, 1, 3)
@@ -113,7 +123,7 @@ class TestCodes:
     def test_radix_covers_every_multidegree(self, cubic_triangle, simplex112, corpus3d):
         # a multidegree is at most dim V generators plus one point of bases[d],
         # d <= dmax; two of them differ by less than M in every coordinate
-        far = cubic_triangle.translate((-(10**6), 10**6))
+        far = _translate(cubic_triangle, (-(10**6), 10**6))
         for P in [cubic_triangle, simplex112, far] + corpus3d[:5]:
             ring = build_ring(P, 2, 3)
             reach = ring.dim_V * max(abs(x) for p in ring.degree(1).basis for x in p) + max(
@@ -132,19 +142,19 @@ class TestCodes:
 
     @pytest.mark.parametrize("shift", [(10**6, -(10**6)), (-(10**6), 10**6 + 3)])
     def test_translated_cubic(self, cubic_triangle, shift):
-        far = cubic_triangle.translate(shift)
+        far = _translate(cubic_triangle, shift)
         assert min(min(v) for v in far.vertices) < 0
         near = betti_table(build_ring(cubic_triangle, 2, 4), 2, 3)
         assert betti_table(build_ring(far, 2, 4), 2, 3).entries == near.entries
 
     def test_translated_simplex(self, simplex112):
-        far = simplex112.translate((-(10**6), 10**6, -(10**6) - 7))
+        far = _translate(simplex112, (-(10**6), 10**6, -(10**6) - 7))
         near = betti_table(build_ring(simplex112, 2, 5), 2, 4)
         assert len(near.entries) > 1
         assert betti_table(build_ring(far, 2, 5), 2, 4).entries == near.entries
 
     def test_translated_against_dense_oracle(self, cubic_triangle):
-        ring = build_ring(cubic_triangle.translate((10**6, -(10**6))), 1, 4)
+        ring = build_ring(_translate(cubic_triangle, (10**6, -(10**6))), 1, 4)
         for i in range(3):
             for j in range(i, i + 4):
                 assert koszul_betti(ring, i, j) == dense_betti(ring, i, j)
@@ -304,9 +314,8 @@ def _matched_blocks(ring, i, j):
             for q, cells, lower in ((i, morse.middle, morse.low),
                                     (i + 1, morse.high, morse.middle)):
                 if cells and lower:
-                    rows = {F: row for row, F in enumerate(lower)}
-                    cols = koszul._differential_columns(ring, q, cells, rows, morse.up)
-                    morse_b -= exact_rank(koszul._dense(cols, len(rows)))
+                    cols = koszul._differential_columns(ring, q, cells, lower, morse.up)
+                    morse_b -= exact_rank(koszul._dense(cols))
                     ranked += 1
         yield _Block(u, critical, decided, morse is None, b, morse_b, ranked,
                      mid, src.get(u), tgt.get(u))
@@ -565,8 +574,7 @@ class TestKoszulBetti:
 
         def cross_checked(cols, policy=RankPolicy()):
             r = sparse_rank(cols, policy)
-            nrows = 1 + max((i for col in cols for i in col), default=-1)
-            assert r == exact_rank(koszul._dense(cols, nrows))
+            assert r == exact_rank(koszul._dense(cols))
             checked.append(r)
             return r
 
@@ -597,6 +605,28 @@ class TestComplexIntegrity:
                 for j in range(i, i + 4):
                     assert compose_is_zero(ring, i, j)
                     assert dense_compose_is_zero(ring, i, j)
+
+    def test_each_face_of_a_face_has_two_opposite_pairs(self):
+        # the fact the grouped d o d check rests on: in the wedge tables, a
+        # face G of a face of S is reached by exactly the ordered pairs
+        # (s, t) and (t, s) with G = S - {s, t}, with opposite sign products
+        faces_seen = 0
+        for name, c, _, _ in TestMorseMatching.WINDOWS:
+            ring = build_ring(load_polytope(str(DATA / f"{name}.json")), c, 1)
+            for q in range(1, min(ring.dim_V - 1, 4) + 1):
+                faces_out = koszul._wedge(ring, q).faces
+                for S, faces in koszul._wedge(ring, q + 1).faces.items():
+                    reached = {}
+                    for sign, s, F in faces:
+                        for sign2, t, G in faces_out[F]:
+                            reached.setdefault(G, []).append((s, t, sign * sign2))
+                    assert len(reached) == q * (q + 1) // 2, (name, c, S)
+                    for G, pairs in reached.items():
+                        (s, t, x), (s2, t2, y) = pairs
+                        assert (s2, t2) == (t, s) and S ^ G == (1 << s) | (1 << t)
+                        assert x == -y != 0, (name, c, S, G)
+                    faces_seen += len(reached)
+        assert faces_seen > 1000
 
     # one face sign flipped in the wedge table of the incoming map (source
     # wedge degree q = i + 1) or of the outgoing one (q = i) must be caught,
@@ -633,11 +663,34 @@ class TestComplexIntegrity:
         ring.shifts[d] = (tuple(row),) + table[1:]
         assert compose_is_zero(ring, 1, j) is False
 
+    # at i = 1 a source face has one face of a face, so every group of the
+    # grouped check sees a fault; at i = 2 it has three, and a sign flipped
+    # in the outgoing table or a swapped x_0 row leaves some of them summing
+    # to zero, yet the check must fail
+    @pytest.mark.parametrize("fault", ["sign", "shift"])
+    def test_fault_on_some_faces_is_caught(self, cubic_triangle, fault):
+        i, j = 2, 4
+        assert compose_is_zero(build_ring(cubic_triangle, 1, 4), i, j)
+        ring = build_ring(cubic_triangle, 1, 4)
+        if fault == "sign":
+            table = koszul._wedge(ring, i)
+            (sign, s, F), *rest = table.faces[table.masks[0]]
+            table.faces[table.masks[0]] = ((-sign, s, F), *rest)
+        else:
+            d = j - i - 1
+            table = koszul._shift(ring, d)
+            row = list(table[0])
+            row[0], row[1] = row[1], row[0]
+            ring.shifts[d] = (tuple(row),) + table[1:]
+        assert compose_is_zero(ring, i, j) is False
+
     def test_negative_degrees_refused(self, cubic_triangle):
         ring = build_ring(cubic_triangle, 1, 4)
-        for i, j in ((-1, 2), (1, -1), (-1, -1)):
+        for i, j in ((-1, 2), (1, -1), (-1, -1), (-1, 0)):
             with pytest.raises(DegenerateInput):
                 compose_is_zero(ring, i, j)
+            with pytest.raises(DegenerateInput):
+                koszul_betti(ring, i, j)
 
     def test_checksum(self, cubic_triangle, unit_square, unit_triangle):
         for P in (cubic_triangle, unit_square, unit_triangle):

@@ -216,6 +216,8 @@ class TestContains:
         point = normalize_full_dim([(5, 7)])
         assert contains(point, 3, ())
         assert dilate(point, 4) == point
+        with pytest.raises(DegenerateInput, match="dilation factor must be >= 1"):
+            dilate(point, 0)
 
     def test_dimension_mismatch(self, unit_triangle):
         with pytest.raises(DimensionMismatch):

@@ -6,13 +6,19 @@ and a module-level function or class, without a decorator, that neither
 the package nor the benchmark names.  A mention in the tests keeps nothing
 alive: a definition that only tests call is dead weight.  The one exemption
 is the public API, the names `__init__.py` re-exports; for the same reason
-`__init__.py` is exempt from the import check.  A fourth check fails on an
-import inside a function body: every module states what it depends on at
-its top.  A fifth holds README's Layout block to the modules that exist.
+`__init__.py` is exempt from the import check.  A method or property of a
+package class is held to the same rule, with no public-API exemption; the
+dunder methods, which Python calls, and the methods that override a base
+class's, which a framework such as click calls, are exempt.  A fourth
+check fails on an import inside a function body: every module states what
+it depends on at its top.  A fifth holds README's Layout block to the
+modules that exist.
 """
 
 import ast
+import importlib
 import re
+import types
 from functools import cache
 from pathlib import Path
 
@@ -127,6 +133,42 @@ def unnamed_definitions(tree, elsewhere):
     return unnamed
 
 
+def unnamed_methods(tree, elsewhere, overrides=frozenset()):
+    """Methods and properties of the module-level classes that neither the
+    rest of `tree` nor the names in `elsewhere` mention.  Python calls the
+    dunder methods, and a framework calls the (class, method) pairs in
+    `overrides` through the base class they override."""
+    unnamed = []
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__") or (cls.name, name) in overrides:
+                continue
+            rest = set().union(
+                *(_mentions(s) for s in tree.body if s is not cls),
+                *(_mentions(s) for s in cls.body if s is not node),
+            )
+            if name not in rest and name not in elsewhere:
+                unnamed.append((node.lineno, f"{cls.name}.{name}"))
+    return unnamed
+
+
+def overridden(module):
+    """The (class, method) pairs of `module` whose method a base class of
+    the class also defines, as click.Path.convert for _PolytopePath."""
+    return frozenset(
+        (name, attr)
+        for name, cls in vars(module).items()
+        if isinstance(cls, type) and cls.__module__ == module.__name__
+        for attr in vars(cls)
+        if any(attr in vars(base) for base in cls.__mro__[1:] if base is not object)
+    )
+
+
 def reexported(tree):
     """The names an `__init__.py` imports from the package's modules."""
     return {
@@ -164,6 +206,14 @@ def test_no_unnamed_definitions(path):
         *(_mentions_in(p) for p in SCANNED if p != path)
     )
     assert unnamed_definitions(_parse(path), elsewhere) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unnamed_methods(path):
+    # methods count as used only where the package or the benchmark names them
+    elsewhere = frozenset().union(*(_mentions_in(p) for p in SCANNED if p != path))
+    module = importlib.import_module("polysyz" + ("" if path.stem == "__init__" else f".{path.stem}"))
+    assert unnamed_methods(_parse(path), elsewhere, overridden(module)) == []
 
 
 def test_checks_see_dead_weight():
@@ -205,6 +255,48 @@ def test_unnamed_definitions_are_seen():
     )
     elsewhere = _mentions(ast.parse('hooks = ["pkg.mod:hooked", "called"]'))
     assert unnamed_definitions(tree, elsewhere) == [(3, "old_loop"), (14, "Gone")]
+
+
+def test_unnamed_methods_are_seen():
+    tree = ast.parse(
+        "class K:\n"
+        "    def used(self):\n"
+        "        return self.helper()\n"
+        "    def helper(self):\n"
+        "        return 1\n"
+        "    def only_tested(self):\n"
+        "        pass\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return self.recurse()\n"
+        "    def recurse(self):\n"
+        "        return self.recurse()\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "    def convert(self, value):\n"
+        "        return value\n"
+        "def f(k):\n"
+        "    return k.used()\n"
+    )
+    # the benchmark names the property; click would call convert
+    elsewhere = _mentions(ast.parse("k.size"))
+    assert unnamed_methods(tree, elsewhere, {("K", "convert")}) == [(6, "K.only_tested")]
+    assert unnamed_methods(tree, set()) == [(6, "K.only_tested"), (9, "K.size"), (15, "K.convert")]
+    module = types.ModuleType("framework_user")
+    exec(
+        "class Base:\n"
+        "    def convert(self):\n"
+        "        pass\n"
+        "class K(Base):\n"
+        "    def convert(self):\n"
+        "        pass\n"
+        "    def own(self):\n"
+        "        pass\n",
+        module.__dict__,
+    )
+    pairs = overridden(module)
+    assert ("K", "convert") in pairs and ("K", "own") not in pairs
+    assert ("Base", "convert") not in pairs
 
 
 def test_tests_keep_no_definition_alive():
