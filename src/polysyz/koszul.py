@@ -110,24 +110,26 @@ index in the basis is built by the shift table, its one reader (`_shift`).
 
 The check d o d = 0 (`compose_is_zero`) builds no block.  On e_S (x) r the
 composite is a sum over ordered pairs s != t in S of signed terms
-e_{S - {s, t}} (x) x_t x_s r, with signs and faces read from the ring's wedge
-tables, keyed by bitmask, and x_t x_s r read in two steps from its shift
-tables (shift_d[s][r] is the index of bases[d][r] + bases[1][s] in
-bases[d + 1]): the Morse columns read the same wedge tables, and the matching
-reads the down-shift masks inverted from the same shift tables; one code sum
-for x_t x_s r would commute by construction and so check nothing.  Per S,
-the terms are grouped by target face and by the map r -> x_t x_s r over all
-of R_d, and the composite vanishes exactly when every group's sign sum is
-zero.  In the wedge table `_wedge` builds, the face S - {s, t} is reached
-only by the pairs (s, t) and (t, s), so a group holds one of them or both.
-When their maps are equal the group holds both, and the composite's part on
-that face is the group's sign sum times e_{S - {s, t}} (x) x_t x_s r at
-every r.  When their maps differ each group holds one term, of sign sum
-+-1, and at an r where x_t x_s r != x_s x_t r the two terms cannot cancel.
-So the grouped rule is exact both ways.  The check costs about
-C(n, q) * q(q-1) face steps per strand, n = dim V, q = i + 1, plus
-n(n-1) * |R_d| shift reads for the pair maps, which depend only on d and
-are built once per (ring, d).
+e_{S - {s, t}} (x) x_t x_s r, and it vanishes for two reasons: the x's
+commute and the exterior signs anticommute (Eisenbud, The Geometry of
+Syzygies, the Koszul complex).  The check tests the two facts directly.
+The x's commute: for every pair s < t of generators, the map r -> x_t x_s r
+on R_d, read in two steps from the ring's shift tables (shift_d[s][r] is
+the index of bases[d][r] + bases[1][s] in bases[d + 1]), equals
+r -> x_s x_t r.  The signs cancel: for every source face S, the sign
+products reaching each face G of a face of S, read from the ring's wedge
+tables, keyed by bitmask, sum to 0.  The Morse columns read the same wedge
+tables, and the matching reads the down-shift masks inverted from the same
+shift tables; one code sum for x_t x_s r would commute by construction and
+so check nothing.  Together the two facts are exact both ways.  In the
+wedge table `_wedge` builds, the face G = S - {s, t} is reached only by the
+pairs (s, t) and (t, s).  Where their maps agree at r, the composite's
+coefficient on e_G (x) x_t x_s r is their sign sum.  Where they differ, the
+two terms are +-1 on two different basis elements, and no other pair
+reaches G, so the composite is not zero.  Every pair s < t lies in some
+source face S, since 2 <= i + 1 <= dim V.  The check costs
+n(n-1) * |R_d| shift reads, n = dim V, plus about C(n, q) * q(q-1) face
+steps, q = i + 1, per strand.
 
 A middle level wedge^q V (x) R_d that does not exist (q > dim V, d < 0 or
 d > dmax) has no blocks.  A middle cell has no target face at q = 0 and no
@@ -195,10 +197,6 @@ class GradedSectionRing:
     )
     # d -> the down-shift table of `_down`, filled on first use
     downs: Dict[int, tuple] = field(
-        default_factory=dict, repr=False, hash=False, compare=False
-    )
-    # d -> the generator-pair maps of `compose_is_zero`, filled on first use
-    pair_maps: Dict[int, list] = field(
         default_factory=dict, repr=False, hash=False, compare=False
     )
 
@@ -292,8 +290,8 @@ class _Wedge(NamedTuple):
     codes[k] is the code of sum_{s in S} bases[1][s] for the k-th q-subset S
     in combinations order, and masks[k] is S as the bitmask
     sum_{s in S} 2^s.  faces maps each such bitmask S, in the same order, to
-    (sign, s, S - {s}) for each s in S, the face a bitmask too, with the sign
-    (-1)^t of the place t of s in S.
+    (sign, S - {s}) for each s in S in increasing order, the face a bitmask
+    too, with the sign (-1)^t of the place t of s in S.
     """
 
     codes: list
@@ -314,7 +312,7 @@ def _wedge(ring: GradedSectionRing, q: int) -> _Wedge:
             mask = sum(map(bits.__getitem__, S))
             masks.append(mask)
             faces[mask] = tuple(
-                (-1 if t % 2 else 1, s, mask ^ bits[s]) for t, s in enumerate(S)
+                (-1 if t % 2 else 1, mask ^ bits[s]) for t, s in enumerate(S)
             )
         table = ring.wedges[q] = _Wedge(codes, masks, faces)
     return table
@@ -391,11 +389,11 @@ def _differential_columns(ring, q, cells, critical, up):
     opened = set()
 
     def combine(terms):
-        # the sum of sign * projection(F) over the terms (sign, s, F), for
+        # the sum of sign * projection(F) over the terms (sign, F), for
         # faces that are critical, done or matched down; a face being expanded
         # is none of these, so it drops out of its own partner's boundary
         acc: Dict[int, int] = {}
-        for sign, _, F in terms:
+        for sign, F in terms:
             if F in critical:
                 acc[F] = acc.get(F, 0) + sign
             elif F in memo:
@@ -411,7 +409,7 @@ def _differential_columns(ring, q, cells, critical, up):
                 stack.pop()
                 continue
             terms = faces[up[F]]
-            waiting = [G for _, _, G in terms if G in up and G not in memo and G != F]
+            waiting = [G for _, G in terms if G in up and G not in memo and G != F]
             if waiting:
                 if F in opened:
                     raise ConsistencyError("the Morse matching has a cycle")
@@ -419,13 +417,13 @@ def _differential_columns(ring, q, cells, critical, up):
                 stack.extend(waiting)
                 continue
             stack.pop()
-            e = next(sign for sign, _, G in terms if G == F)
+            e = next(sign for sign, G in terms if G == F)
             memo[F] = {row: -e * x for row, x in combine(terms).items() if x}
 
     cols = []
     for S in cells:
         terms = faces[S]
-        for _, _, F in terms:
+        for _, F in terms:
             if F in up and F not in memo:
                 project(F)
         cols.append({row: x for row, x in combine(terms).items() if x})
@@ -578,15 +576,13 @@ def compose_is_zero(ring: GradedSectionRing, i: int, j: int) -> bool:
 
     The composite wedge^{i+1} V (x) R_d -> wedge^{i-1} V (x) R_{d+2},
     d = j - i - 1, sends e_S (x) r to the sum over ordered pairs s != t in S
-    of eps(S, s) * eps(S - s, t) * e_{S - {s, t}} (x) x_t x_s r.  The signs
-    and faces are read from the ring's wedge tables and x_t x_s r in two
-    steps from its shift tables, `shift_{d+1}[t][shift_d[s][r]]`, the tables
-    the Morse columns and the matching read.  For each S the terms are
-    grouped by their target face and by the map r -> x_t x_s r as a tuple
-    over R_d (equal maps share one group).  A face S - {s, t} is reached
-    only by the pairs (s, t) and (t, s), so a group with a nonzero sign sum
-    leaves the composite nonzero at some r, and the check is exact (module
-    docstring).  The pair maps depend only on d and are kept on the ring.
+    of eps(S, s) * eps(S - s, t) * e_{S - {s, t}} (x) x_t x_s r.  It is zero
+    exactly when two facts hold (module docstring): the x's commute on R_d,
+    x_t x_s r = x_s x_t r for every pair s < t, read in two steps from the
+    ring's shift tables, `shift_{d+1}[t][shift_d[s][r]]`; and the signs
+    cancel, every face S - {s, t} of a face of S getting sign sum 0 from the
+    ring's wedge tables.  These are the tables the Morse columns and the
+    matching read.
     """
     if i < 0 or j < 0:
         raise DegenerateInput("i, j must be nonnegative")
@@ -595,26 +591,16 @@ def compose_is_zero(ring: GradedSectionRing, i: int, j: int) -> bool:
         return True
     _check_window(ring, i, j)
     d = j - i - 1
-    faces_in = _wedge(ring, i + 1).faces
+    first, second = _shift(ring, d), _shift(ring, d + 1)
+    for s, t in itertools.combinations(range(ring.dim_V), 2):
+        if [second[t][x] for x in first[s]] != [second[s][x] for x in first[t]]:
+            return False
     faces_out = _wedge(ring, i).faces
-    # pair_map[s][t] = the id of the map r -> x_t x_s r, equal maps one id;
-    # kept per d
-    pair_map = ring.pair_maps.get(d)
-    if pair_map is None:
-        first, second = _shift(ring, d), _shift(ring, d + 1)
-        ids: Dict[tuple, int] = {}
-        pair_map = ring.pair_maps[d] = [
-            [ids.setdefault(tuple(map(after.__getitem__, row)), len(ids)) for after in second]
-            for row in first
-        ]
-    for faces in faces_in.values():
-        sums: Dict[Tuple[int, int], int] = {}
-        for sign, s, F in faces:
-            ids_s = pair_map[s]
-            for sign2, t, G in faces_out[F]:
-                key = (G, ids_s[t])
-                sums[key] = sums.get(key, 0) + sign * sign2
-        # a group holds (s, t), (t, s) or both, the only pairs that reach G
+    for faces in _wedge(ring, i + 1).faces.values():
+        sums: Dict[int, int] = {}
+        for sign, F in faces:
+            for sign2, G in faces_out[F]:
+                sums[G] = sums.get(G, 0) + sign * sign2
         if any(sums.values()):
             return False
     return True

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from polysyz import betti_table, build_ring
+from polysyz import NormalityReport, betti_table, build_ring
 from polysyz import cli as cli_module
 from polysyz.cli import cli
 from polysyz.errors import ConsistencyError, DegenerateInput, WindowExceeded
@@ -509,3 +509,12 @@ def test_report_checksum_mismatch(runner, monkeypatch):
     result = runner.invoke(cli, ["report"])
     assert result.exit_code == 4
     assert "checksum" in result.output
+
+
+def test_report_row_mismatch(runner, monkeypatch):
+    # the (1,1,2)-simplex reported normal disagrees with its recorded row
+    monkeypatch.setattr(cli_module, "is_normal", lambda P: NormalityReport(True, 2, None))
+    result = runner.invoke(cli, ["report"])
+    assert result.exit_code == 4
+    assert "| normal=True, witness=None | NO |" in result.output
+    assert "report mismatch" in result.output

@@ -1,6 +1,7 @@
 import pytest
 
 from polysyz import (
+    WeightPlan,
     ample_power_profile,
     build_ring,
     coh_dim_ample_power,
@@ -27,6 +28,9 @@ class TestAmplePower:
         assert coh_dim_ample_power(unit_triangle, 5, 0) == len(
             lattice_points(unit_triangle, 5)
         )
+        # no cohomology below degree 0 or above the dimension
+        assert coh_dim_ample_power(unit_triangle, -3, -1) == 0
+        assert coh_dim_ample_power(unit_triangle, 5, 3) == 0
 
     def test_euler_identity(self, corpus50):
         for P in corpus50[:10]:
@@ -84,6 +88,8 @@ class TestProduct:
         assert all(coh_dim_product([1, 1], (-1, -1), i) == 0 for i in range(3))
         assert coh_dim_product([2], (-3,), 2) == 1
         assert coh_dim_product([1, 2], (1, 1), 0) == 6
+        assert coh_dim_product([1, 2], (1, 1), -1) == 0
+        assert coh_dim_product([1, 2], (-3, -4), 4) == 0
 
     def test_matches_ample_on_projective_plane(self, unit_triangle):
         for d in range(-6, 7):
@@ -141,6 +147,15 @@ class TestPrediction:
             )
             is None
         )
+
+    @pytest.mark.parametrize("weights, p, message", [
+        (((1,),), 0, "p must be at least 1"),
+        (((2,), (1,)), 3, "at least p weight vectors"),
+        (((2,), (1, 1)), 2, "wrong length"),
+    ], ids=["p-below-one", "too-few-weights", "wrong-length"])
+    def test_bad_plan_refused(self, weights, p, message):
+        with pytest.raises(DegenerateInput, match=message):
+            WeightPlan(ell=1, weights=weights, p=p)
 
     def test_prediction_sound_against_koszul(self, cubic_triangle):
         # predicted twists must not fail at or below the predicted level

@@ -1,7 +1,10 @@
 from fractions import Fraction
 from math import factorial
 
+import pytest
+
 from polysyz import (
+    ConsistencyError,
     EhrhartPolynomial,
     LatticePolytope,
     ehrhart_polynomial,
@@ -11,6 +14,7 @@ from polysyz import (
     r_of_polytope,
     reciprocity_check,
 )
+from polysyz import ehrhart
 from polysyz.corpus import generate_corpus
 
 
@@ -81,6 +85,24 @@ def test_reciprocity(unit_triangle, unit_square):
     assert reciprocity_check(unit_square, 4)
     # h = 1, and the point is its own interior in every dilation
     assert reciprocity_check(normalize_full_dim([(5, 7)]), 4)
+
+
+def test_wrong_polynomial_is_seen(unit_square):
+    # the unit square's (d + 1)^2 planted on a fresh unit triangle: its
+    # reciprocity fails at d = 2, and its one root -1 gives r = 1, not 2
+    triangle = LatticePolytope.from_points([(0, 0), (1, 0), (0, 1)])
+    object.__setattr__(triangle, "ehrhart", ehrhart_polynomial(unit_square))
+    assert not reciprocity_check(triangle, 2)
+    with pytest.raises(ConsistencyError, match="Hilbert roots give r=1"):
+        r_of_polytope(triangle)
+
+
+def test_wrong_counts_are_refused(monkeypatch):
+    # two points in every dilation interpolate to h = 2, whose constant
+    # term is not 1
+    monkeypatch.setattr(ehrhart, "lattice_points", lambda P, d: [(0, 0)] * 2)
+    with pytest.raises(ConsistencyError, match="invalid Ehrhart polynomial"):
+        ehrhart_polynomial(LatticePolytope.from_points([(0, 0), (1, 0), (0, 1)]))
 
 
 def test_out_of_sample_counts(corpus50):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from polysyz.intlinalg import exact_rank, kernel_basis, row_hnf
+from polysyz.intlinalg import exact_rank, kernel_basis, row_hnf, solve_in_hnf_basis
 
 from .oracles import fraction_rank
 
@@ -54,3 +54,17 @@ def test_kernel_basis_is_an_hnf_kernel(nrows, ncols):
         assert len(out) == ncols - fraction_rank(rows)
         for x in out:
             assert all(sum(a * b for a, b in zip(r, x)) == 0 for r in rows)
+
+
+@pytest.mark.parametrize("basis, target, message", [
+    ([[0, 0]], (1, 0), "zero row"),
+    # a nonzero coordinate before the first pivot
+    ([[0, 2]], (1, 2), "not in lattice"),
+    # the pivot does not divide the coordinate
+    ([[2, 0]], (1, 0), "not in lattice"),
+    # a remainder left after the last row
+    ([[1, 0]], (1, 1), "not in lattice"),
+], ids=["zero-row", "before-pivot", "pivot-divides", "remainder"])
+def test_solve_in_hnf_basis_refuses(basis, target, message):
+    with pytest.raises(ValueError, match=message):
+        solve_in_hnf_basis(basis, target)

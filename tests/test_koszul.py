@@ -617,8 +617,10 @@ class TestComplexIntegrity:
                 faces_out = koszul._wedge(ring, q).faces
                 for S, faces in koszul._wedge(ring, q + 1).faces.items():
                     reached = {}
-                    for sign, s, F in faces:
-                        for sign2, t, G in faces_out[F]:
+                    for sign, F in faces:
+                        s = (S ^ F).bit_length() - 1
+                        for sign2, G in faces_out[F]:
+                            t = (F ^ G).bit_length() - 1
                             reached.setdefault(G, []).append((s, t, sign * sign2))
                     assert len(reached) == q * (q + 1) // 2, (name, c, S)
                     for G, pairs in reached.items():
@@ -645,22 +647,27 @@ class TestComplexIntegrity:
         rows = {F: row for row, F in enumerate(koszul._wedge(ring, q - 1).masks)}
         before = koszul._differential_columns(ring, q, [S], rows, {})
         faces = ring.wedges[q].faces
-        (sign, s, F), *rest = faces[S]
-        faces[S] = ((-sign, s, F), *rest)
+        (sign, F), *rest = faces[S]
+        faces[S] = ((-sign, F), *rest)
         assert compose_is_zero(ring, 1, j) is False
         assert koszul._differential_columns(ring, q, [S], rows, {}) != before
 
-    # two entries of one row of the shift table x_0 * (-): R_d -> R_{d+1}
+    # two entries of one row of the shift table x_v * (-): R_d -> R_{d+1}
     # swapped, at the first (d = j - 2) or second (d = j - 1) step of x_t x_s r,
-    # on a fresh ring before the check first reads the table
-    @pytest.mark.parametrize("j, d", [(2, 1), (3, 1), (3, 2)])
-    def test_swapped_shift_is_caught(self, cubic_triangle, j, d):
+    # on a fresh ring before the check first reads the table; the row of the
+    # last generator v is caught only if the check reaches every pair s < t
+    @pytest.mark.parametrize("j, d, v", [
+        pytest.param(j, d, v, id=f"{j}-{d}{'-last' if v else ''}")
+        for v in (0, -1) for j, d in ((2, 1), (3, 1), (3, 2))
+    ])
+    def test_swapped_shift_is_caught(self, cubic_triangle, j, d, v):
         assert compose_is_zero(build_ring(cubic_triangle, 1, 4), 1, j)
         ring = build_ring(cubic_triangle, 1, 4)
-        table = koszul._shift(ring, d)
-        row = list(table[0])
+        table = list(koszul._shift(ring, d))
+        row = list(table[v])
         row[0], row[1] = row[1], row[0]
-        ring.shifts[d] = (tuple(row),) + table[1:]
+        table[v] = tuple(row)
+        ring.shifts[d] = tuple(table)
         assert compose_is_zero(ring, 1, j) is False
 
     # at i = 1 a source face has one face of a face, so every group of the
@@ -674,8 +681,8 @@ class TestComplexIntegrity:
         ring = build_ring(cubic_triangle, 1, 4)
         if fault == "sign":
             table = koszul._wedge(ring, i)
-            (sign, s, F), *rest = table.faces[table.masks[0]]
-            table.faces[table.masks[0]] = ((-sign, s, F), *rest)
+            (sign, F), *rest = table.faces[table.masks[0]]
+            table.faces[table.masks[0]] = ((-sign, F), *rest)
         else:
             d = j - i - 1
             table = koszul._shift(ring, d)
@@ -696,6 +703,21 @@ class TestComplexIntegrity:
         for P in (cubic_triangle, unit_square, unit_triangle):
             ring = build_ring(P, 1, 4)
             assert k_polynomial_checksum(betti_table(ring, 3, 3))
+
+    def test_checksum_sees_a_wrong_entry(self, cubic_triangle):
+        table = betti_table(build_ring(cubic_triangle, 1, 4), 3, 3)
+        entries = {**table.entries, (1, 3): table.get(1, 3) + 1}
+        assert not k_polynomial_checksum(
+            BettiTable(entries, table.max_i, table.max_slope, table.ring)
+        )
+
+    def test_rank_above_the_critical_cells_is_refused(self, cubic_triangle, monkeypatch):
+        # a block whose Morse maps outrank its critical middle cells would
+        # add a negative Betti number
+        ring = build_ring(cubic_triangle, 2, 4)
+        monkeypatch.setattr(koszul, "rank", lambda cols, policy: 10**6)
+        with pytest.raises(ConsistencyError, match="negative Betti block"):
+            betti_table(ring, 2, 2)
 
     def test_determinism_under_vertex_order(self, cubic_triangle):
         reordered = LatticePolytope.from_points([(2, 2), (1, 1), (0, 1), (1, 0)])

@@ -68,6 +68,9 @@ class TestConvexHullFacets:
         with pytest.raises(DimensionMismatch):
             convex_hull_facets([(0, 0), (1, 0, 0), (0, 1), (1, 1)])
 
+    def test_point_of_dimension_zero_has_no_facets(self):
+        assert convex_hull_facets([()]) == []
+
     def test_redundant_input_points_dropped(self):
         P = LatticePolytope.from_points([(0, 0), (2, 0), (0, 2), (1, 1), (1, 0)])
         assert P.vertices == ((0, 0), (0, 2), (2, 0))

@@ -12,7 +12,8 @@ dunder methods, which Python calls, and the methods that override a base
 class's, which a framework such as click calls, are exempt.  A fourth
 check fails on an import inside a function body: every module states what
 it depends on at its top.  A fifth holds README's Layout block to the
-modules that exist.
+modules that exist, and a sixth keeps `tests/oracles.py` independent: it
+imports nothing from the package it checks.
 """
 
 import ast
@@ -97,6 +98,20 @@ def function_imports(tree):
         for stmt in f.body for n in ast.walk(stmt)
         if isinstance(n, (ast.Import, ast.ImportFrom))
     })
+
+
+def package_imports(tree):
+    """(line, module) of each import of polysyz or one of its modules."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, m) for m in modules if m.split(".")[0] == "polysyz"]
+    return found
 
 
 def _mentions(node):
@@ -332,6 +347,23 @@ def test_function_imports_are_seen():
         "            import re\n"
     )
     assert function_imports(tree) == [3, 5, 10]
+
+
+def test_oracles_import_nothing_from_the_package():
+    assert package_imports(_parse(ROOT / "tests" / "oracles.py")) == []
+
+
+def test_package_imports_are_seen():
+    tree = ast.parse(
+        "import itertools\n"
+        "import polysyz.koszul as k\n"
+        "from polysyz import build_ring\n"
+        "from .conftest import DATA\n"
+        "from polysyzygy import x\n"
+        "def f():\n"
+        "    from polysyz.ranks import rank\n"
+    )
+    assert package_imports(tree) == [(2, "polysyz.koszul"), (3, "polysyz"), (7, "polysyz.ranks")]
 
 
 def layout_modules(readme):
