@@ -56,7 +56,7 @@ from .lattice import (
     normalize_full_dim,
 )
 from .normality import NormalityReport, decompose, is_normal
-from .ranks import BACKEND, RankPolicy
+from .ranks import RankPolicy
 
 __version__ = "0.1.0"
 

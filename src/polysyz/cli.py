@@ -53,9 +53,9 @@ from .serialize import (
 CACHE_ENV = "POLYSYZ_CACHE_DIR"
 
 CERTIFY_HELP = (
-    "Rank every matrix the engine ranks (the Morse maps of the blocks the "
-    "matching leaves open) by Bareiss elimination on its dense copy, an "
-    "independent exact reference."
+    "Skip the Morse matching and rank the full Koszul maps of every block, "
+    "so the Betti numbers do not rest on the Morse reduction; every rank is "
+    "exact either way."
 )
 
 # hard ceiling on Koszul windows reachable from the CLI; beyond this the

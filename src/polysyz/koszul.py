@@ -9,8 +9,8 @@ the lattice itself, every strand splits into independent blocks indexed by
 the lattice-point multidegree (the sum of the wedge factors and the ring
 element); blocks stay small even when the ambient strand has dimension in
 the tens of thousands, and each block's Betti number is computed exactly
-over the integers, from the sparse columns of its Morse maps when it needs
-a rank at all (below, and `ranks`).
+over the integers, from the ranks of its Morse maps when it needs a rank at
+all (below, and `ranks`).
 
 The section ring R of cP is the Ehrhart ring of cP: a normal affine semigroup
 ring, hence Cohen-Macaulay (Hochster 1972), so its Castelnuovo-Mumford
@@ -82,6 +82,15 @@ truncated complex has no level i - 2, so every target cell is critical or
 matched up.  `_differential_columns` sums the paths by projecting each face
 onto the critical cells, each matched face's projection memoized per block,
 so every cell is expanded once; acyclicity makes the expansion finite.
+Each map's sparse columns are laid out as dense rows (`_dense`) and ranked
+by Bareiss elimination (`ranks.rank`), the engine's one rank kernel.
+
+Under `RankPolicy(certify=True)` the Betti numbers do not rest on the
+matching: no block is taken for a cone and no cell is matched, so every cell
+is critical and the Morse maps are the block's full maps.  Every face of a
+middle cell is a target cell and every face of a source cell a middle cell,
+so `_differential_columns` with no partners reads the full boundary, and
+beta_u = |middle| - rank(d_i) - rank(d_{i+1}) of the full truncated complex.
 
 The ring builds a degree only when something first reads it, so below the
 clamp the largest degrees, |c*d*P| growing like d^n, are never enumerated.
@@ -457,7 +466,10 @@ def koszul_betti(
     policy: RankPolicy = RankPolicy(),
 ) -> int:
     """dim Tor_i(R,k)_j; zero without computation above the regularity,
-    beyond the projective dimension and on the linear strand j = i >= 1."""
+    beyond the projective dimension and on the linear strand j = i >= 1.
+
+    Every rank is exact.  By default each block is ranked on its Morse
+    complex; under `policy.certify` on its full maps, with no matching."""
     if i < 0 or j < 0:
         raise DegenerateInput("i, j must be nonnegative")
     if i > ring.dim_V or j < i:
@@ -486,19 +498,23 @@ class _Morse(NamedTuple):
     up: Dict[int, int]
 
 
-def _morse_count(elements: List[int], size: int, masks: list, down, n: int) -> Optional[_Morse]:
+def _morse_count(
+    elements: List[int], size: int, masks: list, down, n: int, certify: bool
+) -> Optional[_Morse]:
     """The matching of one block of a strand's middle level: None when
     Delta_u is a cone at level i, else the block's `_Morse` record.
 
     `elements` is the block in wedge^i V (x) R_d, `size` = |R_d|, `masks` the
     wedge table's masks of wedge^i V, `down` the down-shift table of degree d
     and n = dim V.  The source and target cells are read off the spans, and
-    the cells are matched one generator at a time (module docstring).
+    the cells are matched one generator at a time (module docstring).  Under
+    `certify` there is no cone exit and no matching: the record holds every
+    cell, with no partners.
     """
     faces = [masks[e // size] for e in elements]
     # the span of e = e_S (x) r: the v with v in S or S + {v} a source face
     spans = [S | down[e % size] for S, e in zip(faces, elements)]
-    if reduce(and_, spans):
+    if not certify and reduce(and_, spans):
         return None  # Delta_u is a cone at level i
     # count[v] = #{middle faces with v} + #{source faces with v}, the number
     # of spans that hold v; a bit of S gives the target face S - {v}, any
@@ -518,6 +534,8 @@ def _morse_count(elements: List[int], size: int, masks: list, down, n: int) -> O
             span ^= bit
     middle = set(faces)
     up: Dict[int, int] = {}
+    if certify:
+        return _Morse(low, middle, high, up)
     for v in _matching_order(count):
         if not middle or not (low or high):
             break
@@ -543,23 +561,22 @@ def _strand_betti(ring: GradedSectionRing, i: int, j: int, policy: RankPolicy) -
     (`_morse_count`): a cone adds 0, and any other block adds
     #critical middle cells - rank(outgoing) - rank(incoming) of its Morse
     complex.  Only the maps with a critical source and a critical target
-    cell are assembled and ranked; any other map has rank 0.
+    cell are assembled and ranked, by Bareiss on their dense rows; any other
+    map has rank 0.  Under policy.certify nothing is matched, so every block
+    with a source or a target cell has its full maps ranked.
     """
     d = j - i
     size, masks, down, n = ring.dim(d), _wedge(ring, i).masks, _down(ring, d), ring.dim_V
     total = 0
     for u, elements in _level_blocks(ring, i, d).items():
-        morse = _morse_count(elements, size, masks, down, n)
+        morse = _morse_count(elements, size, masks, down, n, policy.certify)
         if morse is None:
             continue
         # rank(outgoing) + rank(incoming)
         ranked = 0
         for q, cells, lower in ((i, morse.middle, morse.low), (i + 1, morse.high, morse.middle)):
             if cells and lower:
-                cols = _differential_columns(ring, q, cells, lower, morse.up)
-                # the sparse columns go straight to `rank`; certify hands it
-                # dense rows for Bareiss instead
-                ranked += rank(_dense(cols) if policy.certify else cols, policy)
+                ranked += rank(_dense(_differential_columns(ring, q, cells, lower, morse.up)))
         critical = len(morse.middle)
         b = critical - ranked
         if b < 0:
@@ -614,7 +631,8 @@ def betti_table(
 ) -> BettiTable:
     """All beta_{i,j} for 0 <= i <= max_i, i <= j <= i + max_slope.
 
-    `policy` picks how each block is ranked; every choice is exact.
+    Every rank is exact, by Bareiss.  `policy.certify` skips the Morse
+    matching and ranks each block's full maps (`koszul_betti`).
     """
     if max_i < 0 or max_slope < 0:
         raise DegenerateInput(f"need max_i, max_slope >= 0, got {max_i}, {max_slope}")

@@ -1,21 +1,16 @@
-"""Exact ranks of integer matrices given by their sparse columns.
+"""The one exact rank kernel of the Koszul engine.
 
-`rank` reduces the columns over the integers, one after another, against the
-pivot columns found so far, each keyed by its leading (largest) row, until a
-column vanishes or becomes a new pivot; the rank is the number of pivots
-(the "standard algorithm" of persistent homology, Zomorodian-Carlsson 2005,
-with no modulus).  Against a pivot whose leading entry p is +-1 the column
-loses f * p times the pivot; against any other p it becomes p * column -
-f * pivot, divided by the gcd of its entries: a nonzero rational multiple
-of the column plus a combination of pivots, so the span over Q, and with it
-the rank, is unchanged.  Python ints never overflow, so every rank is exact.
-Row keys are any ints, in any order: the engine ranks the Morse maps of
-Koszul blocks (`koszul`), whose rows are keyed by the bitmasks of their
-critical cells.  Each entry is a sum over gradient paths of products of
-+-1, so any integer, though the matrices are small and sparse.
+`rank` takes an integer matrix as a list of dense rows and returns its rank
+over Q by Bareiss's fraction-free elimination (`intlinalg.exact_rank`,
+Bareiss 1968): every division is exact and Python ints never overflow, so
+every rank is exact, with no modulus and no size threshold.  The engine
+ranks the Morse maps of Koszul blocks (`koszul`), whose entries are sums
+over gradient paths of products of +-1; after the Morse reduction these
+matrices are small (on the paper windows every one is under 16 x 16), so a
+dense kernel is all they need.
 
-Passing certify=True ranks the dense rows of the same matrix by Bareiss
-elimination instead (`intlinalg.exact_rank`), an independent exact reference.
+`RankPolicy(certify=True)` does not change the kernel: it tells the engine
+to skip the Morse matching and rank each block's full maps (`koszul`).
 
 `rank_mod_p` and `BACKEND` have no engine caller: the benchmark's tracer
 (perfbench/tracing.py) pins both names, and they go when it stops doing so.
@@ -24,8 +19,7 @@ elimination instead (`intlinalg.exact_rank`), an independent exact reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import Dict, Tuple
+from typing import Dict
 
 from .intlinalg import exact_rank
 
@@ -34,7 +28,7 @@ BACKEND = "python"
 
 @dataclass(frozen=True)
 class RankPolicy:
-    certify: bool = False  # Bareiss on dense rows instead of the sparse kernel
+    certify: bool = False  # rank each block's full maps, with no Morse matching
 
 
 def rank_mod_p(rows, p: int) -> int:
@@ -61,39 +55,6 @@ def rank_mod_p(rows, p: int) -> int:
     return len(pivots)
 
 
-def rank(matrix, policy: RankPolicy = RankPolicy()) -> int:
-    """Rank over Q of an integer matrix.
-
-    `matrix` is a list of sparse columns {row: value}, or, under
-    policy.certify, the same matrix as a list of dense rows.
-    """
-    if policy.certify:
-        return exact_rank(matrix)
-    # pivot columns keyed by their leading row: (leading entry, the rest)
-    pivots: Dict[int, Tuple[int, Dict[int, int]]] = {}
-    for col in matrix:
-        c = {i: v for i, v in col.items() if v}
-        while c:
-            lead = max(c)
-            f = c.pop(lead)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = (f, c)
-                break
-            p, rest = pivot
-            unit = p == 1 or p == -1
-            if unit:
-                f *= p
-            else:
-                c = {i: p * v for i, v in c.items()}
-            for i, v in rest.items():
-                w = c.get(i, 0) - f * v
-                if w:
-                    c[i] = w
-                else:
-                    del c[i]
-            if not unit and c:
-                g = gcd(*c.values())
-                if g > 1:
-                    c = {i: v // g for i, v in c.items()}
-    return len(pivots)
+def rank(rows) -> int:
+    """Rank over Q of an integer matrix given as a list of dense rows."""
+    return exact_rank(rows)

@@ -28,12 +28,13 @@ def _gauss_jordan(rows):
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
+        # row r is 0 left of column c, so only columns c.. change
         inv = 1 / m[r][c]
-        m[r] = [a * inv for a in m[r]]
+        pr = m[r][c:] = [a * inv for a in m[r][c:]]
         for i in range(len(m)):
             if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i][c:] = [a - f * b if b else a for a, b in zip(m[i][c:], pr)]
         pivots.append(c)
     return m, pivots
 

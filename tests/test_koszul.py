@@ -28,7 +28,7 @@ from polysyz.intlinalg import exact_rank
 from polysyz.koszul import _strand_betti
 from polysyz.serialize import load_polytope
 
-from .oracles import block_matrix, dense_betti, dense_compose_is_zero
+from .oracles import block_matrix, dense_betti, dense_compose_is_zero, fraction_rank
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -292,7 +292,7 @@ def _morse_blocks(ring, i, j):
     d = j - i
     masks, down = koszul._wedge(ring, i).masks, koszul._down(ring, d)
     for u, mid in koszul._level_blocks(ring, i, d).items():
-        yield u, mid, koszul._morse_count(mid, ring.dim(d), masks, down, ring.dim_V)
+        yield u, mid, koszul._morse_count(mid, ring.dim(d), masks, down, ring.dim_V, False)
 
 
 def _matched_blocks(ring, i, j):
@@ -479,9 +479,9 @@ class TestMorseMatching:
         calls = []
         traced = koszul.rank
 
-        def counted(cols, policy=RankPolicy()):
+        def counted(rows):
             calls.append(1)
-            return traced(cols, policy)
+            return traced(rows)
 
         monkeypatch.setattr(koszul, "rank", counted)
         for i, j in ((2, 3), (2, 4), (3, 5)):
@@ -490,6 +490,40 @@ class TestMorseMatching:
             del calls[:]
             assert _strand_betti(ring, i, j, RankPolicy()) == sum(b.b for b in blocks)
             assert len(calls) == expected, (i, j)
+
+    def test_certify_ranks_every_block(self, cubic_triangle, monkeypatch):
+        # under certify nothing is matched and no block is a cone: every
+        # block with a source or a target cell has that full map ranked,
+        # cones and blocks the matching decides included
+        ring = build_ring(cubic_triangle, 2, 4)
+        calls = []
+        traced = koszul.rank
+
+        def counted(rows):
+            calls.append(1)
+            return traced(rows)
+
+        monkeypatch.setattr(koszul, "rank", counted)
+        skipped = Counter()
+        for i, j in ((2, 3), (2, 4), (3, 5)):
+            blocks = list(_matched_blocks(ring, i, j))
+            expected = sum(bool(b.src) + bool(b.tgt) for b in blocks)
+            del calls[:]
+            assert _strand_betti(ring, i, j, RankPolicy(certify=True)) == sum(b.b for b in blocks)
+            assert len(calls) == expected, (i, j)
+            skipped.update(cone=sum(b.at_count for b in blocks),
+                           decided=sum(b.decided and not b.at_count for b in blocks))
+        assert skipped["cone"] and skipped["decided"]
+
+    def test_certify_does_not_rest_on_the_cone_exit(self, cubic_triangle, monkeypatch):
+        # every block read as a cone: the default table loses every entry,
+        # the certified one, which takes no cone exit, stays right
+        reference = {(0, 0): 1, (1, 2): 24, (2, 3): 84, (3, 4): 126}
+        assert betti_table(build_ring(cubic_triangle, 2, 4), 3, 3).entries == reference
+        monkeypatch.setattr(koszul, "reduce", lambda f, xs: 1)
+        assert betti_table(build_ring(cubic_triangle, 2, 4), 3, 3).entries == {}
+        certified = betti_table(build_ring(cubic_triangle, 2, 4), 3, 3, RankPolicy(certify=True))
+        assert certified.entries == reference
 
 
     def test_a_cyclic_matching_is_refused(self, unit_triangle):
@@ -565,16 +599,16 @@ class TestKoszulBetti:
             betti_table(ring, 2, 4)
 
     def test_every_block_rank_matches_bareiss(self, cubic_triangle, simplex112, monkeypatch):
-        # each Morse map the sparse kernel ranks is ranked again by Bareiss
-        # on its dense copy; rows no column touches do not change the rank.
-        # Every Morse map of the simplex window has rank 0, so the cubic c = 2
-        # window is checked too, for maps of nonzero rank
-        sparse_rank = koszul.rank
+        # each Morse map the engine ranks by Bareiss is ranked again by the
+        # oracle's Fraction elimination.  Every Morse map of the simplex
+        # window has rank 0, so the cubic c = 2 window is checked too, for
+        # maps of nonzero rank
+        kernel = koszul.rank
         checked = []
 
-        def cross_checked(cols, policy=RankPolicy()):
-            r = sparse_rank(cols, policy)
-            assert r == exact_rank(koszul._dense(cols))
+        def cross_checked(rows):
+            r = kernel(rows)
+            assert r == fraction_rank(rows)
             checked.append(r)
             return r
 
@@ -598,7 +632,7 @@ class TestKoszulBetti:
 
 class TestComplexIntegrity:
     def test_differential_squares_to_zero(self, cubic_triangle, simplex112, unit_square):
-        # the grouped check and the product of the dense strand matrices agree
+        # the two-fact check and the product of the dense strand matrices agree
         for P in (cubic_triangle, simplex112, unit_square):
             ring = build_ring(P, 1, 5)
             for i in range(4):
@@ -607,7 +641,7 @@ class TestComplexIntegrity:
                     assert dense_compose_is_zero(ring, i, j)
 
     def test_each_face_of_a_face_has_two_opposite_pairs(self):
-        # the fact the grouped d o d check rests on: in the wedge tables, a
+        # the fact that makes the two-fact d o d check exact: in the wedge tables, a
         # face G of a face of S is reached by exactly the ordered pairs
         # (s, t) and (t, s) with G = S - {s, t}, with opposite sign products
         faces_seen = 0
@@ -670,10 +704,10 @@ class TestComplexIntegrity:
         ring.shifts[d] = tuple(table)
         assert compose_is_zero(ring, 1, j) is False
 
-    # at i = 1 a source face has one face of a face, so every group of the
-    # grouped check sees a fault; at i = 2 it has three, and a sign flipped
-    # in the outgoing table or a swapped x_0 row leaves some of them summing
-    # to zero, yet the check must fail
+    # at i = 1 a source face has one face of a face, so a flipped sign shows
+    # in every sign sum; at i = 2 it has three, and a sign flipped in the
+    # outgoing table or a swapped x_0 row leaves some of them summing to
+    # zero, yet the check must fail
     @pytest.mark.parametrize("fault", ["sign", "shift"])
     def test_fault_on_some_faces_is_caught(self, cubic_triangle, fault):
         i, j = 2, 4
@@ -715,7 +749,7 @@ class TestComplexIntegrity:
         # a block whose Morse maps outrank its critical middle cells would
         # add a negative Betti number
         ring = build_ring(cubic_triangle, 2, 4)
-        monkeypatch.setattr(koszul, "rank", lambda cols, policy: 10**6)
+        monkeypatch.setattr(koszul, "rank", lambda rows: 10**6)
         with pytest.raises(ConsistencyError, match="negative Betti block"):
             betti_table(ring, 2, 2)
 

@@ -2,8 +2,14 @@
 
 Examples are derandomized and no example database is kept, so the suite
 runs the same cases every time; `conftest.py` keeps hypothesis' on-disk
-cache out of the working tree.
+cache out of the working tree.  The last test checks that a failing
+property test, under the project's warning filters, fails alone and leaves
+the rest of the session running.
 """
+
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,6 +31,7 @@ from polysyz.lattice import normalize_full_dim
 from .oracles import box_points, dense_betti, dense_compose_is_zero
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @st.composite
@@ -95,7 +102,7 @@ def test_koszul_matches_dense_oracle(P):
 @settings(PROPERTY, max_examples=30)
 @given(polygons(bound=2, max_points=5))
 def test_compose_matches_dense_oracle(P):
-    # c = 1, i <= 3, j - i <= 2: the grouped d o d check against the product
+    # c = 1, i <= 3, j - i <= 2: the two-fact d o d check against the product
     # of the dense strand matrices
     ring = build_ring(P, 1, 3)
     for i in range(4):
@@ -141,3 +148,33 @@ def test_betti_table_is_independent_of_the_matching_order(corpus50, data):
         mp.setattr(koszul, "_matching_order", drawn_order)
         assert betti_table(ring, 2, P.dim + 1).entries == expected
     assert asked
+
+
+PLANTED = """
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+
+@settings(derandomize=True, database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_leaves_the_rest_running(tmp_path):
+    # on a failure hypothesis imports libcst to write a patch, and that
+    # import warns; the project's warning filters must not turn it into an
+    # internal error that ends the session before the next test runs
+    (tmp_path / "test_planted.py").write_text(PLANTED)
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "-q", "test_planted.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 1, out.stdout + out.stderr
+    assert "1 failed, 1 passed" in out.stdout, out.stdout

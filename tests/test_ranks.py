@@ -1,3 +1,7 @@
+"""`rank`, the engine's one rank kernel, against the oracles' own Fraction
+elimination, and `rank_mod_p` against `rank`, on seeded random integer
+matrices."""
+
 import os
 import random
 import subprocess
@@ -6,8 +10,9 @@ import sys
 import pytest
 
 import polysyz
-from polysyz.intlinalg import exact_rank
-from polysyz.ranks import RankPolicy, rank, rank_mod_p
+from polysyz.ranks import rank, rank_mod_p
+
+from .oracles import fraction_rank
 
 P = 2**31 - 1
 
@@ -30,7 +35,7 @@ def test_rank_mod_p_matches_exact(nrows, ncols):
     for density in (0.1, 0.4, 1.0):
         for _ in range(5):
             rows = _random_matrix(rng, nrows, ncols, density)
-            assert rank_mod_p(rows, P) == exact_rank(rows)
+            assert rank_mod_p(rows, P) == rank(rows)
 
 
 def test_rank_deficient_products():
@@ -39,7 +44,7 @@ def test_rank_deficient_products():
         a = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(15)]
         b = [[rng.randint(-5, 5) for _ in range(15)] for _ in range(k)]
         ab = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-        assert rank_mod_p(ab, P) == exact_rank(ab) <= k
+        assert rank_mod_p(ab, P) == rank(ab) <= k
 
 
 def test_mod_p_edge_cases():
@@ -50,16 +55,14 @@ def test_mod_p_edge_cases():
     assert rank_mod_p([[2, 4], [1, 2]], 7) == 1
 
 
-def _columns(rows):
-    """Sparse columns {row: value} of a dense matrix, zeros left out."""
-    ncols = len(rows[0]) if rows else 0
-    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
-
-
-def _check_rank(rows):
-    r = rank(_columns(rows))
-    assert r == exact_rank(rows)
-    assert rank(rows, RankPolicy(certify=True)) == r
+def _check_rank(rows, expected=None):
+    """rank(rows) is the oracle's rank, or `expected` when given, and the
+    input is left as it was."""
+    copy = [list(row) for row in rows]
+    r = rank(rows)
+    assert r == (fraction_rank(rows) if expected is None else expected)
+    assert rows == copy
+    return r
 
 
 @pytest.mark.parametrize("nrows, ncols", [(1, 1), (1, 7), (7, 1), (5, 5), (12, 30), (30, 12), (40, 40)])
@@ -80,9 +83,9 @@ def test_rank_matches_bareiss_on_integers(nrows, ncols):
     for density in (0.1, 0.4, 1.0):
         for _ in range(5):
             rows = _random_matrix(rng, nrows, ncols, density)
-            _check_rank(rows)
-            # every entry, and so every leading entry, is a non-unit
-            _check_rank([[6 * v for v in row] for row in rows])
+            r = _check_rank(rows)
+            # every entry, and so every pivot, is a non-unit; the rank is the same
+            _check_rank([[6 * v for v in row] for row in rows], r)
 
 
 def test_rank_with_no_unit_pivot():
@@ -97,7 +100,7 @@ def test_rank_with_no_unit_pivot():
 
 def test_rank_edge_cases():
     assert rank([]) == 0
-    assert rank([{}, {}, {}]) == 0
+    assert rank([[], [], []]) == 0
     _check_rank([[0] * 4 for _ in range(3)])
     # duplicate and empty columns
     rng = random.Random(5)
@@ -105,12 +108,10 @@ def test_rank_edge_cases():
         rows = _random_matrix(rng, 8, 6, 0.5)
         rows = [row + row[:3] + [0] for row in rows]
         _check_rank(rows)
-    # explicit zero entries in a sparse column are ignored
-    assert rank([{0: 0, 1: 1}, {0: 0, 1: 2}]) == 1
-    # the input columns are left as they were
-    cols = [{0: 1, 1: 1}, {0: 1, 1: 2}, {1: 1}]
-    rank(cols)
-    assert cols == [{0: 1, 1: 1}, {0: 1, 1: 2}, {1: 1}]
+    # the input rows are left as they were, pivots and row swaps included
+    rows = [[0, 1, 1], [1, 1, 2], [1, 2, 3]]
+    assert rank(rows) == 2
+    assert rows == [[0, 1, 1], [1, 1, 2], [1, 2, 3]]
 
 
 def test_import_loads_no_numpy_or_compiled_kernel():
