@@ -55,7 +55,8 @@ CACHE_ENV = "POLYSYZ_CACHE_DIR"
 CERTIFY_HELP = (
     "Skip the Morse matching and rank the full Koszul maps of every block, "
     "so the Betti numbers do not rest on the Morse reduction; every rank is "
-    "exact either way."
+    "exact either way.  A window with a block of more than 512 middle cells "
+    "(the data files' c = 3 windows) is refused with exit 3."
 )
 
 # hard ceiling on Koszul windows reachable from the CLI; beyond this the

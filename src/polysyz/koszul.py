@@ -91,6 +91,13 @@ is critical and the Morse maps are the block's full maps.  Every face of a
 middle cell is a target cell and every face of a source cell a middle cell,
 so `_differential_columns` with no partners reads the full boundary, and
 beta_u = |middle| - rank(d_i) - rank(d_{i+1}) of the full truncated complex.
+Dense Bareiss on full maps costs about the cube of the block's middle
+cells, seconds in pure Python at 500, and the largest blocks of the c = 3
+windows (i <= 4, slope 3) hold 2,793 (cubic triangle) and 7,741
+((1,1,2)-simplex) middle cells.  So certify refuses (`WindowExceeded`) a
+window with a block of more than `_CERTIFY_CELLS` middle cells, before it
+ranks anything; every CLI window (max_i, max_slope <= 8) of the data files
+at c <= 2 stays under it, with at most 378.
 
 The ring builds a degree only when something first reads it, so below the
 clamp the largest degrees, |c*d*P| growing like d^n, are never enumerated.
@@ -160,6 +167,10 @@ from .ehrhart import ehrhart_polynomial, integer_root_count
 from .errors import ConsistencyError, DegenerateInput, WindowExceeded
 from .lattice import LatticePoint, LatticePolytope, lattice_points
 from .ranks import RankPolicy, rank
+
+# the most middle cells of a block whose full maps certify ranks (module
+# docstring)
+_CERTIFY_CELLS = 512
 
 
 class RingDegree(NamedTuple):
@@ -469,15 +480,30 @@ def koszul_betti(
     beyond the projective dimension and on the linear strand j = i >= 1.
 
     Every rank is exact.  By default each block is ranked on its Morse
-    complex; under `policy.certify` on its full maps, with no matching."""
+    complex; under `policy.certify` on its full maps, with no matching, and
+    a strand with a block of more than `_CERTIFY_CELLS` middle cells is
+    refused with `WindowExceeded`."""
+    return _strand_betti(ring, i, j, policy) if _is_open(ring, i, j) else 0
+
+
+def _is_open(ring: GradedSectionRing, i: int, j: int) -> bool:
+    """Whether beta_{i,j} is read from the strand's blocks, not known to be 0."""
     if i < 0 or j < 0:
         raise DegenerateInput("i, j must be nonnegative")
     if i > ring.dim_V or j < i:
-        return 0
+        return False
     _check_window(ring, i, j)
-    if j - i > ring.reg or i > ring.pd or (i >= 1 and j == i):
-        return 0
-    return _strand_betti(ring, i, j, policy)
+    return not (j - i > ring.reg or i > ring.pd or (i >= 1 and j == i))
+
+
+def _certify_fits(blocks: Dict[int, List[int]], i: int, j: int) -> None:
+    """Refuse a strand with a block too large for certify's full maps."""
+    largest = max(map(len, blocks.values()), default=0)
+    if largest > _CERTIFY_CELLS:
+        raise WindowExceeded(
+            f"certify ranks full block maps, and strand (i={i}, j={j}) has a block "
+            f"of {largest} middle cells, over the limit of {_CERTIFY_CELLS}"
+        )
 
 
 def _matching_order(count: List[int]) -> List[int]:
@@ -563,12 +589,16 @@ def _strand_betti(ring: GradedSectionRing, i: int, j: int, policy: RankPolicy) -
     complex.  Only the maps with a critical source and a critical target
     cell are assembled and ranked, by Bareiss on their dense rows; any other
     map has rank 0.  Under policy.certify nothing is matched, so every block
-    with a source or a target cell has its full maps ranked.
+    with a source or a target cell has its full maps ranked, and a strand
+    with a block of more than `_CERTIFY_CELLS` middle cells is refused.
     """
     d = j - i
     size, masks, down, n = ring.dim(d), _wedge(ring, i).masks, _down(ring, d), ring.dim_V
+    blocks = _level_blocks(ring, i, d)
+    if policy.certify:
+        _certify_fits(blocks, i, j)
     total = 0
-    for u, elements in _level_blocks(ring, i, d).items():
+    for u, elements in blocks.items():
         morse = _morse_count(elements, size, masks, down, n, policy.certify)
         if morse is None:
             continue
@@ -632,7 +662,9 @@ def betti_table(
     """All beta_{i,j} for 0 <= i <= max_i, i <= j <= i + max_slope.
 
     Every rank is exact, by Bareiss.  `policy.certify` skips the Morse
-    matching and ranks each block's full maps (`koszul_betti`).
+    matching and ranks each block's full maps (`koszul_betti`); a window
+    with a block of more than `_CERTIFY_CELLS` middle cells is refused with
+    `WindowExceeded` before any rank is taken.
     """
     if max_i < 0 or max_slope < 0:
         raise DegenerateInput(f"need max_i, max_slope >= 0, got {max_i}, {max_slope}")
@@ -641,12 +673,16 @@ def betti_table(
             f"window slope {max_slope} needs dmax >= {max_slope + 1}, "
             f"ring has dmax = {ring.dmax}"
         )
+    window = [(i, j) for i in range(max_i + 1) for j in range(i, i + max_slope + 1)]
+    if policy.certify:
+        for i, j in window:
+            if _is_open(ring, i, j):
+                _certify_fits(_level_blocks(ring, i, j - i), i, j)
     entries: Dict[Tuple[int, int], int] = {}
-    for i in range(max_i + 1):
-        for j in range(i, i + max_slope + 1):
-            b = koszul_betti(ring, i, j, policy=policy)
-            if b:
-                entries[(i, j)] = b
+    for i, j in window:
+        b = koszul_betti(ring, i, j, policy=policy)
+        if b:
+            entries[(i, j)] = b
     return BettiTable(entries=entries, max_i=max_i, max_slope=max_slope, ring=ring)
 
 

@@ -10,7 +10,8 @@ matrices are small (on the paper windows every one is under 16 x 16), so a
 dense kernel is all they need.
 
 `RankPolicy(certify=True)` does not change the kernel: it tells the engine
-to skip the Morse matching and rank each block's full maps (`koszul`).
+to skip the Morse matching and rank each block's full maps, refusing a block
+too large for them (`koszul`).
 
 `rank_mod_p` and `BACKEND` have no engine caller: the benchmark's tracer
 (perfbench/tracing.py) pins both names, and they go when it stops doing so.

@@ -163,6 +163,15 @@ class TestExitCodes:
         result = runner.invoke(cli, ["np", CUBIC, "--pmax", "9"])
         assert result.exit_code == 3
 
+    def test_certify_refuses_the_c3_window(self, runner, tmp_path):
+        # a block of 753 middle cells is over certify's limit: exit 3 at
+        # once, and nothing is cached
+        args = ["betti", CUBIC, "--c", "3", "--max-i", "4", "--max-slope", "3", "--certify"]
+        result = runner.invoke(cli, args + ["--cache-dir", str(tmp_path)])
+        assert result.exit_code == 3
+        assert "a block of 753 middle cells, over the limit of 512" in result.output
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("args", [
         ["betti", CUBIC, "--c", "0"],
         ["count", CUBIC, "--d", "-1"],

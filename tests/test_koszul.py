@@ -525,6 +525,43 @@ class TestMorseMatching:
         certified = betti_table(build_ring(cubic_triangle, 2, 4), 3, 3, RankPolicy(certify=True))
         assert certified.entries == reference
 
+    def test_certify_refuses_a_block_over_the_limit(self, cubic_triangle, monkeypatch):
+        # the c = 3 window's strand (3, 5) has a block of 753 middle cells:
+        # certify refuses the window before it ranks anything, and refuses
+        # the strand on its own too; the default engine has no such limit
+        def ranked(rows):
+            raise AssertionError("a rank was taken before the refusal")
+
+        ring = build_ring(cubic_triangle, 3, 4)
+        monkeypatch.setattr(koszul, "rank", ranked)
+        refusal = r"strand \(i=3, j=5\) has a block of 753 middle cells, over the limit of 512"
+        with pytest.raises(WindowExceeded, match=refusal):
+            betti_table(ring, 4, 3, RankPolicy(certify=True))
+        with pytest.raises(WindowExceeded, match=refusal):
+            koszul_betti(ring, 3, 5, RankPolicy(certify=True))
+
+    def test_certify_limit_is_on_the_largest_block(self, monkeypatch):
+        monkeypatch.setattr(koszul, "_CERTIFY_CELLS", 3)
+        koszul._certify_fits({}, 1, 2)
+        koszul._certify_fits({5: [0, 1], 7: [2, 3, 4]}, 1, 2)
+        with pytest.raises(WindowExceeded, match="a block of 4 middle cells"):
+            koszul._certify_fits({5: [0, 1], 7: [2, 3, 4, 5]}, 1, 2)
+
+    def test_certify_serves_every_cli_window_up_to_c_2(self):
+        # every window the CLI allows (max_i, max_slope <= 8) on the data
+        # files at c <= 2 stays under the limit; the largest block is the
+        # (1,1,2)-simplex's, the number the module docstring gives
+        largest = 0
+        for path in sorted(DATA.glob("*.json")):
+            for c in (1, 2):
+                ring = build_ring(load_polytope(path), c, 9)
+                for i in range(9):
+                    for j in range(i, i + 9):
+                        if koszul._is_open(ring, i, j):
+                            blocks = koszul._level_blocks(ring, i, j - i)
+                            largest = max(largest, *map(len, blocks.values()))
+        assert largest == 378 <= koszul._CERTIFY_CELLS
+
 
     def test_a_cyclic_matching_is_refused(self, unit_triangle):
         # {1} up to {0,1}, {2} up to {1,2}, {0} up to {0,2}: the gradient
