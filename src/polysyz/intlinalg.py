@@ -125,3 +125,31 @@ def solve_in_hnf_basis(basis, target):
     if any(w):
         raise ValueError("target not in lattice")
     return tuple(coords)
+
+
+def adjugate(E):
+    """(det E, adj E) of a square integer matrix given as rows, with
+    E adj(E) = det(E) I; each entry of adj E is a signed minor."""
+    n = len(E)
+    adj = [[(-1) ** (r + c) * _det([row[:r] + row[r + 1:] for k, row in enumerate(E) if k != c])
+            for c in range(n)] for r in range(n)]
+    return (sum(E[0][k] * adj[k][0] for k in range(n)) if n else 1), adj
+
+
+def _det(m) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination: every division is exact, and 1 for the empty matrix."""
+    m = [list(r) for r in m]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, len(m)):
+            for c in range(k + 1, len(m)):
+                m[i][c] = (m[i][c] * m[k][k] - m[i][k] * m[k][c]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if m else 1

@@ -85,6 +85,39 @@ so every cell is expanded once; acyclicity makes the expansion finite.
 Each map's sparse columns are laid out as dense rows (`_dense`) and ranked
 by Bareiss elimination (`ranks.rank`), the engine's one rank kernel.
 
+Blocks in one orbit of the lattice automorphisms of P are counted once.
+Let g(x) = A x + b be a unimodular affine map with A P + b = P
+(`lattice.automorphisms`).  It sends cdP onto itself by x -> A x + c*d*b,
+so it permutes V = cP, and the basis of each degree R_d, and multiplies
+like the ring: g(x + y) on cd_1P + cd_2P is g(x) + g(y).  An element
+e_S (x) r of multidegree u, |S| = q and r in R_d, goes to e_{g(S)} (x) g(r),
+of multidegree g.u = A u + c*j*b with j = q + d; so g carries Delta_u onto
+Delta_{g.u} as a simplicial complex, through its permutation of V, and
+beta_{i,(j,u)} = beta_{i,(j,g.u)} (Delta_u as above, Bruns-Herzog 1997;
+Miller-Sturmfels ch. 9; the same action of GL_n(Z) and translations leaves
+the whole table unchanged).  Being a cone at level i is orbit invariant as
+well.  So a strand is the sum, over one block per orbit that is not a cone,
+of the orbit's size times that block's Betti number; `_strand_betti`
+matches and ranks the first block of each such orbit in level order and
+skips the rest.  The group is looked for only once it can pay: the blocks
+of an orbit have equal sizes, so until a strand meets a second block of
+one size that is not a cone, each such block is counted once and waits,
+and one still waiting at the end is an orbit of its own.  In the small
+windows of the CLI most strands have one block that is not a cone, and
+their rings never search.  Once the group is known, the ring takes each
+orbit as soon as its first block is matched.  The orbit is read off the
+codes, which the action keeps linear:
+code(g.u) = sum_l u_l * code(A e_l) + c*j*code(b), with u's coordinates the
+balanced base-M digits of its code (each lies strictly between -M/2 and M/2
+by the radix bound below).  The codes of A e_l and b are found once per
+ring (`_actions`), and the group once per polytope, on the first orbit
+taken.  Each orbit is checked to land on blocks of the strand with as many
+middle cells.
+
+Two computations take no orbit, so that each stays an independent check of
+the engine: `compose_is_zero` (below), and `RankPolicy(certify=True)`,
+which ranks every block itself.
+
 Under `RankPolicy(certify=True)` the Betti numbers do not rest on the
 matching: no block is taken for a cone and no cell is matched, so every cell
 is critical and the Morse maps are the block's full maps.  Every face of a
@@ -160,12 +193,12 @@ import itertools
 from dataclasses import dataclass, field
 from functools import reduce
 from math import comb
-from operator import and_
+from operator import and_, mul
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .ehrhart import ehrhart_polynomial, integer_root_count
 from .errors import ConsistencyError, DegenerateInput, WindowExceeded
-from .lattice import LatticePoint, LatticePolytope, lattice_points
+from .lattice import LatticePoint, LatticePolytope, automorphisms, lattice_points
 from .ranks import RankPolicy, rank
 
 # the most middle cells of a block whose full maps certify ranks (module
@@ -218,6 +251,10 @@ class GradedSectionRing:
     # d -> the down-shift table of `_down`, filled on first use
     downs: Dict[int, tuple] = field(
         default_factory=dict, repr=False, hash=False, compare=False
+    )
+    # the action of Aut(P) on codes (`_actions`), filled on first use
+    actions: List[tuple] = field(
+        default_factory=list, repr=False, hash=False, compare=False
     )
 
     def degree(self, d: int) -> RingDegree:
@@ -479,10 +516,10 @@ def koszul_betti(
     """dim Tor_i(R,k)_j; zero without computation above the regularity,
     beyond the projective dimension and on the linear strand j = i >= 1.
 
-    Every rank is exact.  By default each block is ranked on its Morse
-    complex; under `policy.certify` on its full maps, with no matching, and
-    a strand with a block of more than `_CERTIFY_CELLS` middle cells is
-    refused with `WindowExceeded`."""
+    Every rank is exact.  By default one block per Aut(P)-orbit is ranked,
+    on its Morse complex; under `policy.certify` every block, on its full
+    maps, with no matching and no orbit, and a strand with a block of more
+    than `_CERTIFY_CELLS` middle cells is refused with `WindowExceeded`."""
     return _strand_betti(ring, i, j, policy) if _is_open(ring, i, j) else 0
 
 
@@ -580,42 +617,121 @@ def _morse_count(
     return _Morse(low, middle, high, up)
 
 
+def _actions(ring: GradedSectionRing) -> List[tuple]:
+    """For each g = (A, b) of Aut(P): the codes of the columns A e_1, ...,
+    A e_n and the code of b, memoized on the ring, so that
+    code(g.u) = sum_l u_l * code(A e_l) + c * j * code(b) for u of degree j
+    (module docstring).  The group is searched for on first use."""
+    if not ring.actions:
+        M = ring.radix
+
+        def code(p):
+            return sum(x * M**k for k, x in enumerate(p))
+
+        ring.actions.extend(
+            (tuple(map(code, zip(*A))), code(b)) for A, b in automorphisms(ring.polytope)
+        )
+    return ring.actions
+
+
+def _moves(ring: GradedSectionRing, j: int) -> List[tuple]:
+    """`_actions` for multidegrees of degree j: each code(b) times c * j."""
+    shift = ring.c * j
+    return [(cols, shift * b) for cols, b in _actions(ring)]
+
+
+def _orbit(ring: GradedSectionRing, u: int, moves: List[tuple], blocks, seen: set) -> set:
+    """The codes of the orbit of block u, added to `seen`.
+
+    `moves` are the strand's `_moves`, and the coordinates of u are the
+    balanced base-M digits of its code.  Every code of the orbit must be a
+    block of the strand, in `blocks`, with as many middle cells as u."""
+    M = ring.radix
+    coords = []
+    x = u
+    for _ in moves[0][0]:
+        digit = x % M
+        if digit > M // 2:
+            digit -= M
+        coords.append(digit)
+        x = (x - digit) // M
+    orbit = {sum(map(mul, coords, cols)) + shift for cols, shift in moves}
+    cells = len(blocks[u])
+    if any(len(blocks.get(v, ())) != cells for v in orbit):
+        raise ConsistencyError(
+            f"the Aut(P)-orbit of block {u} leaves the strand's blocks of its size"
+        )
+    seen.update(orbit)
+    return orbit
+
+
 def _strand_betti(ring: GradedSectionRing, i: int, j: int, policy: RankPolicy) -> int:
     """The sum over the strand's blocks of their Betti numbers.
 
     Only the middle level is split.  Each block is first matched
-    (`_morse_count`): a cone adds 0, and any other block adds
-    #critical middle cells - rank(outgoing) - rank(incoming) of its Morse
-    complex.  Only the maps with a critical source and a critical target
-    cell are assembled and ranked, by Bareiss on their dense rows; any other
-    map has rank 0.  Under policy.certify nothing is matched, so every block
-    with a source or a target cell has its full maps ranked, and a strand
-    with a block of more than `_CERTIFY_CELLS` middle cells is refused.
+    (`_morse_count`): a cone adds 0, and any other block adds its Betti
+    number (`_block_betti`) times the size of its Aut(P)-orbit; the other
+    blocks of the orbit, which have the same Betti number, are skipped.
+    Until the ring's group is known, a block that is not a cone counts once
+    and waits; the group is found when a second such block of the same size
+    turns up, for the blocks of an orbit have equal sizes, and the waiting
+    blocks' orbits are taken then.  A block still waiting at the end is an
+    orbit of its own.  Under policy.certify nothing is matched and no orbit
+    is taken, so every block with a source or a target cell has its full
+    maps ranked, and a strand with a block of more than `_CERTIFY_CELLS`
+    middle cells is refused.
     """
     d = j - i
     size, masks, down, n = ring.dim(d), _wedge(ring, i).masks, _down(ring, d), ring.dim_V
     blocks = _level_blocks(ring, i, d)
     if policy.certify:
         _certify_fits(blocks, i, j)
+    seen = set()  # the blocks of the orbits taken
+    moves = _moves(ring, j) if ring.actions else None
+    # before the group is known: block size -> (u, beta_u) of each block of
+    # that size counted once, its orbit not taken
+    waiting: Dict[int, list] = {}
     total = 0
     for u, elements in blocks.items():
+        if u in seen:
+            continue
         morse = _morse_count(elements, size, masks, down, n, policy.certify)
         if morse is None:
             continue
-        # rank(outgoing) + rank(incoming)
-        ranked = 0
-        for q, cells, lower in ((i, morse.middle, morse.low), (i + 1, morse.high, morse.middle)):
-            if cells and lower:
-                ranked += rank(_dense(_differential_columns(ring, q, cells, lower, morse.up)))
-        critical = len(morse.middle)
-        b = critical - ranked
-        if b < 0:
-            raise ConsistencyError(
-                f"negative Betti block at (i={i}, j={j}, multidegree code {u}): "
-                f"{critical} critical cells but the Morse maps have rank {ranked}"
-            )
-        total += b
+        if moves is None and len(elements) in waiting:
+            moves = _moves(ring, j)
+            for v, b in itertools.chain.from_iterable(waiting.values()):
+                total += (len(_orbit(ring, v, moves, blocks, seen)) - 1) * b
+            if u in seen:
+                continue
+        b = _block_betti(ring, i, j, u, morse)
+        if policy.certify:
+            total += b
+        elif moves is None:
+            waiting.setdefault(len(elements), []).append((u, b))
+            total += b
+        else:
+            total += len(_orbit(ring, u, moves, blocks, seen)) * b
     return total
+
+
+def _block_betti(ring: GradedSectionRing, i: int, j: int, u: int, morse: _Morse) -> int:
+    """beta_u = #critical middle cells - rank(outgoing) - rank(incoming).
+
+    Only the Morse maps with a critical source and a critical target cell
+    are assembled and ranked, by Bareiss on their dense rows; any other map
+    has rank 0."""
+    ranked = 0
+    for q, cells, lower in ((i, morse.middle, morse.low), (i + 1, morse.high, morse.middle)):
+        if cells and lower:
+            ranked += rank(_dense(_differential_columns(ring, q, cells, lower, morse.up)))
+    critical = len(morse.middle)
+    if critical < ranked:
+        raise ConsistencyError(
+            f"negative Betti block at (i={i}, j={j}, multidegree code {u}): "
+            f"{critical} critical cells but the Morse maps have rank {ranked}"
+        )
+    return critical - ranked
 
 
 def compose_is_zero(ring: GradedSectionRing, i: int, j: int) -> bool:

@@ -9,19 +9,42 @@ project-and-lift enumeration (as in Normaliz, Bruns-Ichim-Soeger): fixing all
 coordinates but the last turns every facet inequality into a bound on the
 last coordinate, read off in exact integer arithmetic, so the walk visits the
 points of dP and one interval per prefix, never the rest of the bounding box.
+
+The lattice automorphism group Aut(P) is the set of unimodular affine maps
+x -> A x + b (A in GL_n(Z), b in Z^n) with A P + b = P.  Such a map sends
+vertices to vertices and edges to edges of the same lattice length (the gcd
+of the edge vector's coordinates), and it is fixed by where it sends one
+vertex v0 and the ends w_1, ..., w_n of n linearly independent edges at v0:
+with E the matrix of the edge vectors w_k - v0 and E' that of their
+images, A = E' E^{-1} = E' adj(E) / det(E) and b = v0' - A v0.  So
+`automorphisms` takes for v0 a vertex whose signature (the number of facets
+through it and the lengths of its edges) the fewest vertices share, and the
+first n edges at it with det(E) != 0; it tries every vertex v0' of that
+signature and every injective choice of edges at v0' with the lengths of
+the chosen ones, and keeps a map when E' adj(E) is divisible by det(E) and
+A, b then permute the vertices off the base (they send the base where it
+was chosen to go by construction).  Those two tests suffice: an affine map that permutes the vertices maps P onto P
+and so preserves volume, |det A| = 1, and an integral A of determinant +-1
+is unimodular.  Everything is integer arithmetic.  Two vertices span an edge
+exactly when no third vertex lies on every facet through both (the facets
+through both cut out the least face holding them), a test that holds in
+every dimension, 0 and 1 included.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import gcd
 from operator import mul, sub
 from typing import Any, Iterable, List, Tuple
 
 from .errors import DegenerateInput, DimensionMismatch
-from .intlinalg import exact_rank, kernel_basis, solve_in_hnf_basis
+from .intlinalg import adjugate, exact_rank, kernel_basis, solve_in_hnf_basis
 
 LatticePoint = Tuple[int, ...]
+# x -> A x + b, with A as its rows
+AffineMap = Tuple[Tuple[LatticePoint, ...], LatticePoint]
 
 
 @dataclass(frozen=True)
@@ -44,6 +67,9 @@ class LatticePolytope:
     # the Ehrhart polynomial, stored by `ehrhart.ehrhart_polynomial` on first
     # use; it is not part of the polytope's value, its repr or its hash
     ehrhart: Any = field(default=None, init=False, repr=False, hash=False, compare=False)
+    # Aut(P), stored by `automorphisms` on first use, kept out of the
+    # polytope's value the same way
+    symmetries: Any = field(default=None, init=False, repr=False, hash=False, compare=False)
 
     @classmethod
     def from_points(cls, points: Iterable[LatticePoint]) -> "LatticePolytope":
@@ -208,3 +234,59 @@ def dilate(P: LatticePolytope, k: int) -> LatticePolytope:
     return LatticePolytope.from_points(
         tuple(k * c for c in v) for v in P.vertices
     )
+
+
+def automorphisms(P: LatticePolytope) -> Tuple[AffineMap, ...]:
+    """Aut(P), every (A, b) with x -> A x + b unimodular and A P + b = P,
+    sorted; found once per polytope object and kept on it
+    (`LatticePolytope.symmetries`).  The search is in the module docstring."""
+    if P.symmetries is None:
+        object.__setattr__(P, "symmetries", _find_automorphisms(P))
+    return P.symmetries
+
+
+def _find_automorphisms(P: LatticePolytope) -> Tuple[AffineMap, ...]:
+    verts, n = P.vertices, P.ambient_dim
+    m = len(verts)
+    tight = [sum(1 << k for k, f in enumerate(P.facets) if f.eval(v) == 0) for v in verts]
+    # edges[a]: (the other end b, the edge vector b - a, its lattice length)
+    edges = [[] for _ in verts]
+    for a, b in itertools.combinations(range(m), 2):
+        common = tight[a] & tight[b]
+        if not any(k != a and k != b and t & common == common for k, t in enumerate(tight)):
+            e = tuple(map(sub, verts[b], verts[a]))
+            length = gcd(*e)
+            edges[a].append((b, e, length))
+            edges[b].append((a, tuple(-x for x in e), length))
+    sig = [(t.bit_count(), sorted(x for _, _, x in e)) for t, e in zip(tight, edges)]
+    # the base: the vertex v0 with the fewest candidate images, and the first
+    # n edges at it with det E != 0
+    a0 = min(range(m), key=lambda a: (sig.count(sig[a]), a))
+    v0 = verts[a0]
+    for base in itertools.combinations(edges[a0], n):
+        det, adj = adjugate(list(zip(*(e for _, e, _ in base))))
+        if det:
+            break
+    adj_cols = list(zip(*adj))
+    lengths = [x for _, _, x in base]
+    # the map sends v0 to v1 and each base end to its image by construction,
+    # so only the other vertices are checked
+    rest = [v for a, v in enumerate(verts) if a != a0 and all(a != w for w, _, _ in base)]
+    found = []
+    for a1, v1 in enumerate(verts):
+        if sig[a1] != sig[a0]:
+            continue
+        for images in itertools.permutations(edges[a1], n):
+            if any(x != y for (_, _, x), y in zip(images, lengths)):
+                continue
+            # A det = E' adj(E), E' with the columns w'_k - v1
+            A = [[sum(map(mul, row, col)) for col in adj_cols]
+                 for row in zip(*(e for _, e, _ in images))]
+            if any(x % det for row in A for x in row):
+                continue
+            A = [[x // det for x in row] for row in A]
+            b = [y - sum(map(mul, row, v0)) for y, row in zip(v1, A)]
+            left = set(verts).difference([v1], (verts[w] for w, _, _ in images))
+            if {tuple(sum(map(mul, row, v)) + y for row, y in zip(A, b)) for v in rest} == left:
+                found.append((tuple(map(tuple, A)), tuple(b)))
+    return tuple(sorted(found))

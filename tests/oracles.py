@@ -5,7 +5,8 @@ nothing from the package: hull membership goes through exact barycentric
 coordinates (no facet inequalities), areas come from a monotone-chain hull
 plus shoelace, and Betti numbers and d∘d = 0 from dense un-blocked strand
 matrices; `block_matrix` gives one block's full Koszul map, for checking the
-engine's Morse complex block by block.  One Gauss-Jordan elimination over
+engine's Morse complex block by block; `brute_automorphisms` finds the
+lattice automorphisms of a polytope from every map of vertex tuples.  One Gauss-Jordan elimination over
 Fraction, here, serves both the barycentric solve and every rank.  `box_points` is the one oracle that
 reads the facets: it is the bounding-box filter that defines the output of
 the library's lattice point walk, order included.
@@ -202,6 +203,54 @@ def dense_compose_is_zero(ring, i, j):
         for row in outgoing
         for col in zip(*incoming)
     )
+
+
+def brute_det(m):
+    """Determinant as the signed sum over all permutations."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = -1 if inversions % 2 else 1
+        for r, c in enumerate(perm):
+            term *= m[r][c]
+        total += term
+    return total
+
+
+def brute_automorphisms(vertices):
+    """Every (A, b), A as its rows, with x -> A x + b in GL_n(Z) + Z^n
+    mapping the vertex set of a full-dimensional polytope onto itself,
+    sorted.
+
+    The base is the first affinely independent (n + 1)-tuple of vertices
+    x_0, ..., x_n; every ordered (n + 1)-tuple of distinct vertices
+    y_0, ..., y_n is tried as its image, solving A (x_k - x_0) = y_k - y_0
+    row by row over Fraction, and the map is kept when A and b are integral,
+    det A = +-1 and the vertex set goes onto itself."""
+    verts = [tuple(v) for v in vertices]
+    n = len(verts[0])
+    base = next(
+        t for t in itertools.combinations(verts, n + 1)
+        if fraction_rank([[a - b for a, b in zip(x, t[0])] for x in t[1:]]) == n
+    )
+    # rows of X^T: the k-th is x_k - x_0
+    xt = [[a - b for a, b in zip(x, base[0])] for x in base[1:]]
+    vset = set(verts)
+    found = []
+    for images in itertools.permutations(verts, n + 1):
+        yt = [[a - b for a, b in zip(y, images[0])] for y in images[1:]]
+        # row r of A solves X^T a_r = (column r of Y^T)
+        A = [_solve(xt, [y[r] for y in yt]) if n else [] for r in range(n)]
+        if any(row is None for row in A) or any(a.denominator != 1 for row in A for a in row):
+            continue
+        A = [[int(a) for a in row] for row in A]
+        if abs(brute_det(A)) != 1:
+            continue
+        b = [y - sum(a * x for a, x in zip(row, base[0])) for y, row in zip(images[0], A)]
+        image = {tuple(sum(a * x for a, x in zip(row, v)) + c for row, c in zip(A, b)) for v in verts}
+        if image == vset:
+            found.append((tuple(map(tuple, A)), tuple(b)))
+    return sorted(set(found))
 
 
 def brute_decompositions(gens, x, m):

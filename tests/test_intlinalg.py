@@ -1,13 +1,14 @@
 """`exact_rank` (Bareiss elimination) and `kernel_basis` against the
-oracles' own Fraction elimination on seeded random integer matrices."""
+oracles' own Fraction elimination, and `adjugate` against the permutation
+sum of the determinant, on seeded random integer matrices."""
 
 import random
 
 import pytest
 
-from polysyz.intlinalg import exact_rank, kernel_basis, row_hnf, solve_in_hnf_basis
+from polysyz.intlinalg import adjugate, exact_rank, kernel_basis, row_hnf, solve_in_hnf_basis
 
-from .oracles import fraction_rank
+from .oracles import brute_det, fraction_rank
 
 
 def _matrix(rng, nrows, ncols):
@@ -68,3 +69,20 @@ def test_kernel_basis_is_an_hnf_kernel(nrows, ncols):
 def test_solve_in_hnf_basis_refuses(basis, target, message):
     with pytest.raises(ValueError, match=message):
         solve_in_hnf_basis(basis, target)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_adjugate_matches_the_permutation_sum(n):
+    # E adj(E) = det(E) I, with det(E) the signed sum over permutations;
+    # singular matrices and zero leading entries included
+    rng = random.Random(n)
+    singular = 0
+    for _ in range(100):
+        E = _matrix(rng, n, n)
+        det, adj = adjugate(E)
+        assert det == brute_det(E)
+        assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*adj)] for row in E] == [
+            [det * (r == c) for c in range(n)] for r in range(n)
+        ]
+        singular += det == 0
+    assert n < 2 or singular

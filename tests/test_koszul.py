@@ -2,6 +2,7 @@ import itertools
 import random
 from collections import Counter
 from math import ceil
+from operator import mul
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -24,11 +25,19 @@ from polysyz import (
 )
 from polysyz import koszul
 from polysyz.ehrhart import r_of_polytope
+from polysyz import lattice
 from polysyz.intlinalg import exact_rank
 from polysyz.koszul import _strand_betti
+from polysyz.lattice import automorphisms
 from polysyz.serialize import load_polytope
 
-from .oracles import block_matrix, dense_betti, dense_compose_is_zero, fraction_rank
+from .oracles import (
+    block_matrix,
+    brute_automorphisms,
+    dense_betti,
+    dense_compose_is_zero,
+    fraction_rank,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -329,6 +338,37 @@ def _cells(ring, elements, q, d):
     return {masks[e // size] for e in elements}
 
 
+def _oracle_orbits(ring, i, j):
+    """The Aut(P)-orbit of each block of strand (i, j), as a set of block
+    codes: the oracle's group acts on the block's multidegree, read off its
+    first element's face and ring point, by u -> A u + c * j * b."""
+    d = j - i
+    M = ring.radix
+    group = brute_automorphisms(ring.polytope.vertices)
+    gens, points = ring.degree(1).basis, ring.degree(d).basis
+    subsets = list(itertools.combinations(range(ring.dim_V), i))
+    orbits = {}
+    for u, mid in koszul._level_blocks(ring, i, d).items():
+        k, r = divmod(mid[0], len(points))
+        x = [p + sum(gens[s][a] for s in subsets[k]) for a, p in enumerate(points[r])]
+        orbits[u] = {
+            sum(M**e * (sum(map(mul, row, x)) + ring.c * j * y)
+                for e, (row, y) in enumerate(zip(A, b)))
+            for A, b in group
+        }
+    return orbits
+
+
+def _representatives(blocks, orbits):
+    """The codes of the first block of each orbit, in level order."""
+    firsts, covered = set(), set()
+    for block in blocks:
+        if block.u not in covered:
+            firsts.add(block.u)
+            covered |= orbits[block.u]
+    return firsts
+
+
 class TestMorseMatching:
     # the data files at c = 1 and 2, with the window each is checked in
     WINDOWS = [
@@ -473,8 +513,10 @@ class TestMorseMatching:
         assert pairs > 1000
 
     def test_only_open_blocks_are_ranked(self, cubic_triangle, monkeypatch):
-        # the engine ranks each Morse map of the open blocks that has a
-        # critical source and a critical target cell, and nothing else
+        # the engine ranks each Morse map that has a critical source and a
+        # critical target cell, of the open blocks that stand for their
+        # Aut(P)-orbit (the first block of the orbit in level order), and
+        # nothing else
         ring = build_ring(cubic_triangle, 2, 4)
         calls = []
         traced = koszul.rank
@@ -484,12 +526,17 @@ class TestMorseMatching:
             return traced(rows)
 
         monkeypatch.setattr(koszul, "rank", counted)
+        spared = 0
         for i, j in ((2, 3), (2, 4), (3, 5)):
             blocks = list(_matched_blocks(ring, i, j))
-            expected = sum(b.ranked for b in blocks if not b.decided)
+            firsts = _representatives(blocks, _oracle_orbits(ring, i, j))
+            open_blocks = [b for b in blocks if not b.decided]
+            expected = sum(b.ranked for b in open_blocks if b.u in firsts)
+            spared += sum(b.ranked for b in open_blocks if b.u not in firsts)
             del calls[:]
             assert _strand_betti(ring, i, j, RankPolicy()) == sum(b.b for b in blocks)
             assert len(calls) == expected, (i, j)
+        assert spared > 0
 
     def test_certify_ranks_every_block(self, cubic_triangle, monkeypatch):
         # under certify nothing is matched and no block is a cone: every
@@ -563,6 +610,97 @@ class TestMorseMatching:
         assert largest == 378 <= koszul._CERTIFY_CELLS
 
 
+    def test_orbits_cover_the_non_cone_blocks(self, corpus50, monkeypatch):
+        # each orbit the engine takes is the oracle's orbit of its block; a
+        # block it matches and takes no orbit of is an orbit of its own; and
+        # over a strand these orbits are disjoint and cover exactly the
+        # blocks that are not cones, so their sizes sum to the non-cone count
+        orbit, morse_count = koszul._orbit, koszul._morse_count
+        taken, matched = {}, []
+
+        def recorded(ring, u, *args):
+            found = taken[u] = orbit(ring, u, *args)
+            return found
+
+        def noted(elements, *args):
+            morse = morse_count(elements, *args)
+            if morse is not None:
+                matched.append(elements[0])
+            return morse
+
+        monkeypatch.setattr(koszul, "_orbit", recorded)
+        monkeypatch.setattr(koszul, "_morse_count", noted)
+        sizes = Counter()
+        for name, c, ring, max_i, max_slope in self._rings(corpus50):
+            for i in range(max_i + 1):
+                for j in range(i, i + max_slope + 1):
+                    where = (name, c, i, j)
+                    non_cone = {u for u, _, morse in _morse_blocks(ring, i, j) if morse is not None}
+                    code = {mid[0]: u for u, mid in koszul._level_blocks(ring, i, j - i).items()}
+                    oracle = _oracle_orbits(ring, i, j)
+                    taken.clear()
+                    del matched[:]
+                    _strand_betti(ring, i, j, RankPolicy())
+                    # a block matched while its orbit was waiting to be
+                    # taken is skipped, not counted again
+                    covered = set().union(*taken.values())
+                    alone = [code[e] for e in matched if code[e] not in covered]
+                    orbits = list(taken.values()) + [{u} for u in alone]
+                    assert set(taken) <= {code[e] for e in matched}, where
+                    assert sum(map(len, orbits)) == len(non_cone), where
+                    assert set().union(*orbits) == non_cone, where
+                    for u, found in taken.items():
+                        assert found == oracle[u], (where, u)
+                        sizes[len(found), True] += 1
+                    for u in alone:
+                        assert oracle[u] == {u}, (where, u)
+                        sizes[1, False] += 1
+        # orbits of every size the groups allow, and blocks left waiting
+        assert sizes[1, True] > 100 and sizes[1, False] > 10
+        assert all(sizes[k, True] for k in (2, 3, 4, 6, 8, 12, 24))
+
+    def test_tables_with_and_without_orbits(self, corpus50, monkeypatch):
+        # the tables are those computed with the trivial group, on the data
+        # files at c = 1 and 2 in the windows above and on the corpus rings
+        # of at most 10 generators at c = 1 and 2
+        rings = [(load_polytope(str(DATA / f"{name}.json")), c, max_i, max_slope)
+                 for name, c, max_i, max_slope in self.WINDOWS]
+        rings += [(P, c, 2, P.dim + 1) for P in corpus50 for c in (1, 2)
+                  if len(lattice_points(P, c)) <= 10]
+        with_orbits = [betti_table(build_ring(P, c, s + 1), i, s).entries for P, c, i, s in rings]
+        monkeypatch.setattr(koszul, "automorphisms", lambda P: (
+            (tuple(tuple(int(r == k) for k in range(P.dim)) for r in range(P.dim)), (0,) * P.dim),
+        ))
+        without = [betti_table(build_ring(P, c, s + 1), i, s).entries for P, c, i, s in rings]
+        assert with_orbits == without
+        assert sum(len(automorphisms(P)) > 1 for P, *_ in rings) > 20
+
+    def test_certify_and_d_squared_take_no_orbit(self, cubic_triangle, monkeypatch):
+        # with the group search failing, the certified table and the d o d
+        # check are still served; the default table is not, so the search
+        # is on its path
+        def search(P):
+            raise AssertionError("the automorphism search was reached")
+
+        monkeypatch.setattr(lattice, "_find_automorphisms", search)
+        P = LatticePolytope.from_points(cubic_triangle.vertices)
+        certified = betti_table(build_ring(P, 2, 4), 3, 3, RankPolicy(certify=True))
+        assert certified.entries == {(0, 0): 1, (1, 2): 24, (2, 3): 84, (3, 4): 126}
+        ring = build_ring(P, 2, 4)
+        assert all(compose_is_zero(ring, i, j) for i in range(4) for j in range(i, i + 4))
+        with pytest.raises(AssertionError, match="search was reached"):
+            betti_table(ring, 3, 3)
+
+    def test_an_orbit_off_the_level_is_refused(self, cubic_triangle, monkeypatch):
+        # a translation is no symmetry of P: the codes it moves a block to
+        # are not blocks of the strand of the same size
+        shifted = (((1, 0), (0, 1)), (1, 0))
+        monkeypatch.setattr(koszul, "automorphisms", lambda P: (
+            (((1, 0), (0, 1)), (0, 0)), shifted,
+        ))
+        with pytest.raises(ConsistencyError, match="orbit of block"):
+            betti_table(build_ring(cubic_triangle, 2, 4), 3, 3)
+
     def test_a_cyclic_matching_is_refused(self, unit_triangle):
         # {1} up to {0,1}, {2} up to {1,2}, {0} up to {0,2}: the gradient
         # path {1} -> {0,1} -> {0} -> {0,2} -> {2} -> {1,2} -> {1} is a
@@ -635,28 +773,44 @@ class TestKoszulBetti:
         with pytest.raises(WindowExceeded):
             betti_table(ring, 2, 4)
 
-    def test_every_block_rank_matches_bareiss(self, cubic_triangle, simplex112, monkeypatch):
+    def test_every_block_rank_matches_fraction_oracle(self, cubic_triangle, simplex112, monkeypatch):
         # each Morse map the engine ranks by Bareiss is ranked again by the
         # oracle's Fraction elimination.  Every Morse map of the simplex
         # window has rank 0, so the cubic c = 2 window is checked too, for
-        # maps of nonzero rank
-        kernel = koszul.rank
+        # maps of nonzero rank.  A map stands for every block of its block's
+        # Aut(P)-orbit, so each counts with the size of the oracle's orbit;
+        # the third window's polygon has no symmetry, so there each map is
+        # one block
+        kernel, block_betti = koszul.rank, koszul._block_betti
+        block = [None]
         checked = []
+
+        def noted(ring, i, j, u, morse):
+            block[0] = (ring, i, j, u)
+            return block_betti(ring, i, j, u, morse)
 
         def cross_checked(rows):
             r = kernel(rows)
             assert r == fraction_rank(rows)
-            checked.append(r)
+            checked.append((r, block[0]))
             return r
 
         monkeypatch.setattr(koszul, "rank", cross_checked)
-        windows = ((simplex112, 2, 3, 3, 6), (cubic_triangle, 2, 4, 4, 6))
-        for P, c, max_i, max_slope, size in windows:
+        monkeypatch.setattr(koszul, "_block_betti", noted)
+        asymmetric = LatticePolytope.from_points([(0, 2), (0, 3), (3, 0), (3, 3)])
+        assert len(automorphisms(asymmetric)) == 1
+        windows = ((simplex112, 2, 3, 3, 6), (cubic_triangle, 2, 4, 4, 6), (asymmetric, 1, 4, 4, 5))
+        for P, c, max_i, max_slope, entries in windows:
             del checked[:]
             table = betti_table(build_ring(P, c, max_slope + 1), max_i, max_slope)
-            assert len(table.entries) == size
-            assert len(checked) > 100
-        assert any(checked)
+            assert len(table.entries) == entries
+            orbits = {}
+            for _, (ring, i, j, u) in checked:
+                if (i, j) not in orbits:
+                    orbits[i, j] = _oracle_orbits(ring, i, j)
+            assert sum(len(orbits[i, j][u]) for _, (_, i, j, u) in checked) > 100
+            assert any(r for r, _ in checked) == (P is not simplex112)
+        assert len(checked) > 100
 
     def test_negative_window_rejected(self, cubic_triangle):
         ring = build_ring(cubic_triangle, 1, 4)

@@ -1,5 +1,10 @@
+import importlib.util
 import itertools
+import json
+import random
 from math import gcd
+from operator import mul
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +20,12 @@ from polysyz import (
     normalize_full_dim,
 )
 
-from .oracles import hull_area_twice, in_hull
+from polysyz.lattice import automorphisms
+from polysyz.serialize import load_polytope
+
+from .oracles import brute_automorphisms, hull_area_twice, in_hull
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def facet_set(P):
@@ -241,3 +251,92 @@ class TestPick:
             for d in range(6):
                 count = len(lattice_points(P, d))
                 assert 2 * count == twice_area * d * d + boundary * d + 2
+
+
+def _apply(g, x):
+    A, b = g
+    return tuple(sum(map(mul, row, x)) + y for row, y in zip(A, b))
+
+
+def _compose(g, h):
+    """g after h: x -> A_g (A_h x + b_h) + b_g."""
+    (Ag, _), (Ah, bh) = g, h
+    A = tuple(tuple(sum(map(mul, row, col)) for col in zip(*Ah)) for row in Ag)
+    return A, _apply(g, bh)
+
+
+def _identity(n):
+    return tuple(tuple(int(r == c) for c in range(n)) for r in range(n)), (0,) * n
+
+
+def _polytopes(corpus50):
+    """The data files, the corpus, and three small cases: an interval, the
+    point, and a triangle whose affine symmetries (all six vertex
+    permutations, every edge of lattice length 1) are not all lattice maps."""
+    return (
+        [load_polytope(str(path)) for path in sorted((ROOT / "data").glob("*.json"))]
+        + list(corpus50)
+        + [LatticePolytope.from_points([(0,), (3,)]),
+           LatticePolytope.from_points([()]),
+           LatticePolytope.from_points([(0, 0), (1, 0), (2, 5)])]
+    )
+
+
+class TestAutomorphisms:
+    def test_orders(self, unit_triangle, unit_square, cubic_triangle, simplex112):
+        # S3, D4, S3 and S4; an interval has its flip, a point only the
+        # identity, and the triangle of edge lengths 1 and normalized area 5
+        # keeps 2 of its 6 affine symmetries
+        for P, order in ((unit_triangle, 6), (unit_square, 8), (cubic_triangle, 6),
+                         (simplex112, 24)):
+            assert len(automorphisms(P)) == order
+        assert automorphisms(LatticePolytope.from_points([(0,), (3,)])) == (
+            (((-1,),), (3,)), (((1,),), (0,)),
+        )
+        assert automorphisms(LatticePolytope.from_points([()])) == (((), ()),)
+        assert len(automorphisms(LatticePolytope.from_points([(0, 0), (1, 0), (2, 5)]))) == 2
+
+    def test_matches_brute_force_oracle(self, corpus50):
+        for P in _polytopes(corpus50):
+            assert list(automorphisms(P)) == brute_automorphisms(P.vertices), P.vertices
+
+    def test_is_a_group(self, corpus50):
+        # the identity is in it and it is closed under composition, so, being
+        # finite, under inverses too; every element maps P onto P
+        for P in _polytopes(corpus50):
+            G = set(automorphisms(P))
+            assert _identity(P.dim) in G, P.vertices
+            for g in G:
+                assert {_apply(g, v) for v in P.vertices} == set(P.vertices)
+                for h in G:
+                    assert _compose(g, h) in G, (P.vertices, g, h)
+
+    def test_kept_on_the_polytope_outside_its_value(self, cubic_triangle):
+        P = LatticePolytope.from_points(cubic_triangle.vertices)
+        assert P.symmetries is None  # from_points leaves it to the first use
+        G = automorphisms(P)
+        assert automorphisms(P) is G and P.symmetries is G
+        fresh = LatticePolytope.from_points(cubic_triangle.vertices)
+        assert P == fresh and hash(P) == hash(fresh) and repr(P) == repr(fresh)
+        assert "symmetries" not in repr(P)
+
+    def test_order_is_invariant_under_the_benchmark_maps(self, corpus50):
+        # the group of an image under perfbench's `map_points` is conjugate
+        # to the group of the polytope, so it has the same order; the
+        # benchmark's CLI pool is checked too
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        pool = json.loads((ROOT / "perfbench" / "reference.json").read_text())["cli"]
+        polytopes = _polytopes(corpus50) + [normalize_full_dim(v) for v in pool]
+        rng = random.Random(5)
+        orders = set()
+        for P in polytopes:
+            order = len(automorphisms(P))
+            orders.add(order)
+            for _ in range(3):
+                Q = LatticePolytope.from_points(workloads.map_points(rng, P.vertices))
+                assert len(automorphisms(Q)) == order, P.vertices
+        assert orders >= {1, 2, 3, 6, 8, 24}

@@ -26,7 +26,7 @@ from polysyz import (
     koszul_betti,
     lattice_points,
 )
-from polysyz.lattice import normalize_full_dim
+from polysyz.lattice import automorphisms, normalize_full_dim
 
 from .oracles import box_points, dense_betti, dense_compose_is_zero
 
@@ -71,22 +71,50 @@ def test_fibre_walk_is_the_box_filter(P):
         assert interior_lattice_points(P, d) == box_points(P, d, strict=True), d
 
 
-# these generate GL2(Z); short words give small entries
-GENERATORS = (((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, 1), (1, 0)), ((-1, 0), (0, 1)))
+def _generators(n):
+    """Generators of GL_n(Z): the transvections x_r += x_c, the swaps of
+    neighbouring coordinates and the sign change of the first."""
+    def matrix(entry):
+        return tuple(tuple(entry(r, c) for c in range(n)) for r in range(n))
+
+    gens = [matrix(lambda r, c, a=a, b=b: int(r == c or (r, c) == (a, b)))
+            for a in range(n) for b in range(n) if a != b]
+    gens += [matrix(lambda r, c, k=k: int((r == c) != (k <= min(r, c) and max(r, c) <= k + 1)))
+             for k in range(n - 1)]
+    gens.append(matrix(lambda r, c: (-1 if r == 0 else 1) if r == c else 0))
+    return gens
 
 
-def _product(word):
-    m = ((1, 0), (0, 1))
+def _product(word, n):
+    m = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
     for g in word:
         m = tuple(
-            tuple(sum(m[r][k] * g[k][c] for k in range(2)) for c in range(2))
-            for r in range(2)
+            tuple(sum(m[r][k] * g[k][c] for k in range(n)) for c in range(n))
+            for r in range(n)
         )
     return m
 
 
-unimodular = st.lists(st.sampled_from(GENERATORS), max_size=4).map(_product)
-translations = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+def unimodular(n):
+    # short words give small entries
+    return st.lists(st.sampled_from(_generators(n)), max_size=4).map(lambda w: _product(w, n))
+
+
+def translations(n):
+    return st.tuples(*[st.integers(-3, 3)] * n)
+
+
+@st.composite
+def solids(draw, max_points):
+    """A lattice polytope in [0, 2]^3 with at most `max_points` lattice points."""
+    coord = st.integers(0, 2)
+    pts = draw(st.lists(st.tuples(coord, coord, coord), min_size=4, max_size=6, unique=True))
+    try:
+        P = LatticePolytope.from_points(pts)
+    except DegenerateInput:
+        assume(False)
+    assume(len(lattice_points(P, 1)) <= max_points)
+    return P
 
 
 @settings(PROPERTY, max_examples=30)
@@ -110,15 +138,23 @@ def test_compose_matches_dense_oracle(P):
             assert compose_is_zero(ring, i, j) == dense_compose_is_zero(ring, i, j), (i, j)
 
 
-@settings(PROPERTY, max_examples=40)
-@given(polygons(bound=3, max_points=8), unimodular, translations)
-def test_betti_table_is_unimodular_invariant(P, A, t):
+@settings(PROPERTY, max_examples=60)
+@given(st.one_of(
+    st.tuples(polygons(bound=3, max_points=8), unimodular(2), translations(2)),
+    st.tuples(solids(max_points=7), unimodular(3), translations(3)),
+))
+def test_betti_table_is_unimodular_invariant(case):
+    # in 2-D and 3-D; the automorphism group of the image is conjugate to
+    # that of P, so it has the same order
+    P, A, t = case
+    n = P.dim
     image = [
-        tuple(sum(A[r][k] * v[k] for k in range(2)) + t[r] for r in range(2))
+        tuple(sum(A[r][k] * v[k] for k in range(n)) + t[r] for r in range(n))
         for v in P.vertices
     ]
     Q = normalize_full_dim(image)
-    assert Q.dim == 2
+    assert Q.dim == n
+    assert len(automorphisms(Q)) == len(automorphisms(P))
 
     def entries(R):
         return betti_table(build_ring(R, 1, 4), 3, 3).entries
