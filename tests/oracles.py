@@ -240,7 +240,7 @@ def brute_automorphisms(vertices):
     for images in itertools.permutations(verts, n + 1):
         yt = [[a - b for a, b in zip(y, images[0])] for y in images[1:]]
         # row r of A solves X^T a_r = (column r of Y^T)
-        A = [_solve(xt, [y[r] for y in yt]) if n else [] for r in range(n)]
+        A = [_solve(xt, [y[r] for y in yt]) for r in range(n)]
         if any(row is None for row in A) or any(a.denominator != 1 for row in A for a in row):
             continue
         A = [[int(a) for a in row] for row in A]
