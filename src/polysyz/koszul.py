@@ -24,7 +24,8 @@ I in Sym V holds no linear form.  In the minimal free resolution F of R,
 F_1 has a basis mapping to minimal generators of I, so none in degree 1, and
 the least basis degree of F_i rises strictly with i, so F_i has none in
 degree i.  Hence beta_{i,i} = 0 for every i >= 1, and that strand is skipped
-as well.
+as well.  So is beta_{0,1}: its strand's map V (x) R_0 -> R_1 sends each
+basis element e_v (x) 1 to x_v, the identity on the basis.
 
 The block of multidegree u is the chain complex of the simplicial complex
 Delta_u = {F subset V : u - sum F in the semigroup}, up to signs and a shift:
@@ -176,9 +177,22 @@ pairs (s, t) and (t, s).  Where their maps agree at r, the composite's
 coefficient on e_G (x) x_t x_s r is their sign sum.  Where they differ, the
 two terms are +-1 on two different basis elements, and no other pair
 reaches G, so the composite is not zero.  Every pair s < t lies in some
-source face S, since 2 <= i + 1 <= dim V.  The check costs
-n(n-1) * |R_d| shift reads, n = dim V, plus about C(n, q) * q(q-1) face
-steps, q = i + 1, per strand.
+source face S, since 2 <= i + 1 <= dim V.
+
+The commuting fact reads only shift_d and shift_{d+1}, and the sign fact
+only the faces of wedge^i V and wedge^{i+1} V; a window's strands share
+them, the first across i at one d = j - i - 1, the second across j at one
+i.  So the ring records, for each fact that passes, the tables it passed
+on (`GradedSectionRing.passed`): the pair of shift tables itself, whose
+tuples cannot change, and copies of the two faces dicts, whose values are
+tuples.  A strand whose tables equal the recorded ones has the fact
+already; any other tables get the full check, and a fact that fails is
+never recorded.  Equal tables give the same verdict, so the record is
+exact.  The check costs n(n-1) * |R_d| shift reads, n = dim V, once per
+pair of shift tables, plus about C(n, q) * q(q-1) face steps, q = i + 1,
+once per pair of wedge tables.  A strand whose facts are recorded costs a
+comparison of its tables with the record: a test of identity per row of
+the shift tables, and one dict lookup per face of the wedge tables.
 
 A middle level wedge^q V (x) R_d that does not exist (q > dim V, d < 0 or
 d > dmax) has no blocks.  A middle cell has no target face at q = 0 and no
@@ -256,6 +270,11 @@ class GradedSectionRing:
     actions: List[tuple] = field(
         default_factory=list, repr=False, hash=False, compare=False
     )
+    # ("commute", d) or ("signs", i) -> the tables that d o d fact last
+    # passed on (`compose_is_zero`), filled when it passes
+    passed: Dict[tuple, tuple] = field(
+        default_factory=dict, repr=False, hash=False, compare=False
+    )
 
     def degree(self, d: int) -> RingDegree:
         """Degree d, built and checked on first use."""
@@ -263,16 +282,18 @@ class GradedSectionRing:
         if deg is None:
             if not 0 <= d <= self.dmax:
                 raise IndexError(f"ring degree {d} outside 0..{self.dmax}")
-            P, c, M = self.polytope, self.c, self.radix
+            P, c = self.polytope, self.c
             basis = tuple(lattice_points(P, c * d))
             expected = ehrhart_polynomial(P)(c * d)
             if len(basis) != expected:
                 raise ConsistencyError(
                     f"|bases[{d}]| = {len(basis)} but Ehrhart predicts {expected}"
                 )
-            codes = tuple(sum(x * M**k for k, x in enumerate(p)) for p in basis)
+            codes = tuple(_codes(self, basis))
             if len(set(codes)) != len(codes):
-                raise ConsistencyError(f"two points of bases[{d}] share a code (radix {M})")
+                raise ConsistencyError(
+                    f"two points of bases[{d}] share a code (radix {self.radix})"
+                )
             deg = self.degrees[d] = RingDegree(basis=basis, codes=codes)
         return deg
 
@@ -303,6 +324,12 @@ def build_ring(P: LatticePolytope, c: int, dmax: int) -> GradedSectionRing:
     # h(c) = dim V, which the Ehrhart check of degree 1 confirms on first use
     radix = _radix(P, c, dmax, int(h(c)))
     return GradedSectionRing(polytope=P, c=c, dmax=dmax, reg=reg, radix=radix)
+
+
+def _codes(ring: GradedSectionRing, points) -> List[int]:
+    """The codes sum_k p_k * M^k of `points`, M the ring's radix."""
+    powers = [ring.radix**k for k in range(ring.polytope.ambient_dim)]
+    return [sum(map(mul, p, powers)) for p in points]
 
 
 def _radix(P: LatticePolytope, c: int, dmax: int, dim_V: int) -> int:
@@ -383,9 +410,7 @@ def _shift(ring: GradedSectionRing, d: int):
         gen_codes = ring.degree(1).codes
         codes = ring.degree(d).codes
         up = {u: k for k, u in enumerate(ring.degree(d + 1).codes)}
-        table = ring.shifts[d] = tuple(
-            tuple(up[p + g] for p in codes) for g in gen_codes
-        )
+        table = ring.shifts[d] = tuple([tuple([up[p + g] for p in codes]) for g in gen_codes])
     return table
 
 
@@ -514,7 +539,8 @@ def koszul_betti(
     policy: RankPolicy = RankPolicy(),
 ) -> int:
     """dim Tor_i(R,k)_j; zero without computation above the regularity,
-    beyond the projective dimension and on the linear strand j = i >= 1.
+    beyond the projective dimension, on the linear strand j = i >= 1 and at
+    (i, j) = (0, 1).
 
     Every rank is exact.  By default one block per Aut(P)-orbit is ranked,
     on its Morse complex; under `policy.certify` every block, on its full
@@ -524,13 +550,16 @@ def koszul_betti(
 
 
 def _is_open(ring: GradedSectionRing, i: int, j: int) -> bool:
-    """Whether beta_{i,j} is read from the strand's blocks, not known to be 0."""
+    """Whether beta_{i,j} is read from the strand's blocks, not known to be 0.
+
+    beta_{0,1} is 0 by definition: the strand's map V (x) R_0 -> R_1 is the
+    identity on the basis, so the strand's homology is 0."""
     if i < 0 or j < 0:
         raise DegenerateInput("i, j must be nonnegative")
     if i > ring.dim_V or j < i:
         return False
     _check_window(ring, i, j)
-    return not (j - i > ring.reg or i > ring.pd or (i >= 1 and j == i))
+    return not (j - i > ring.reg or i > ring.pd or (i >= 1 and j == i) or (i, j) == (0, 1))
 
 
 def _certify_fits(blocks: Dict[int, List[int]], i: int, j: int) -> None:
@@ -623,14 +652,9 @@ def _actions(ring: GradedSectionRing) -> List[tuple]:
     code(g.u) = sum_l u_l * code(A e_l) + c * j * code(b) for u of degree j
     (module docstring).  The group is searched for on first use."""
     if not ring.actions:
-        M = ring.radix
-
-        def code(p):
-            return sum(x * M**k for k, x in enumerate(p))
-
-        ring.actions.extend(
-            (tuple(map(code, zip(*A))), code(b)) for A, b in automorphisms(ring.polytope)
-        )
+        for A, b in automorphisms(ring.polytope):
+            *cols, shift = _codes(ring, [*zip(*A), b])
+            ring.actions.append((tuple(cols), shift))
     return ring.actions
 
 
@@ -746,6 +770,13 @@ def compose_is_zero(ring: GradedSectionRing, i: int, j: int) -> bool:
     cancel, every face S - {s, t} of a face of S getting sign sum 0 from the
     ring's wedge tables.  These are the tables the Morse columns and the
     matching read.
+
+    Each fact is checked once per pair of tables: when it passes, the ring
+    records the tables (the shift pair, and copies of the two faces dicts),
+    and a later strand whose tables equal the recorded ones skips that
+    fact.  The verdict is a function of the tables' contents, so the record
+    is exact; tables changed since, in place or by replacement, get the
+    full check.
     """
     if i < 0 or j < 0:
         raise DegenerateInput("i, j must be nonnegative")
@@ -754,18 +785,23 @@ def compose_is_zero(ring: GradedSectionRing, i: int, j: int) -> bool:
         return True
     _check_window(ring, i, j)
     d = j - i - 1
-    first, second = _shift(ring, d), _shift(ring, d + 1)
-    for s, t in itertools.combinations(range(ring.dim_V), 2):
-        if [second[t][x] for x in first[s]] != [second[s][x] for x in first[t]]:
-            return False
-    faces_out = _wedge(ring, i).faces
-    for faces in _wedge(ring, i + 1).faces.values():
-        sums: Dict[int, int] = {}
-        for sign, F in faces:
-            for sign2, G in faces_out[F]:
-                sums[G] = sums.get(G, 0) + sign * sign2
-        if any(sums.values()):
-            return False
+    shifts = _shift(ring, d), _shift(ring, d + 1)
+    if ring.passed.get(("commute", d)) != shifts:
+        first, second = shifts
+        for s, t in itertools.combinations(range(ring.dim_V), 2):
+            if [second[t][x] for x in first[s]] != [second[s][x] for x in first[t]]:
+                return False
+        ring.passed[("commute", d)] = shifts
+    faces_out, faces_in = _wedge(ring, i).faces, _wedge(ring, i + 1).faces
+    if ring.passed.get(("signs", i)) != (faces_out, faces_in):
+        for faces in faces_in.values():
+            sums: Dict[int, int] = {}
+            for sign, F in faces:
+                for sign2, G in faces_out[F]:
+                    sums[G] = sums.get(G, 0) + sign * sign2
+            if any(sums.values()):
+                return False
+        ring.passed[("signs", i)] = (dict(faces_out), dict(faces_in))
     return True
 
 

@@ -256,6 +256,18 @@ class TestProjectiveDimension:
                     checked += 1
         assert checked > 100
 
+    def test_first_degree_one_strand_is_skipped(self, corpus50, monkeypatch):
+        # beta_{0,1} = 0 by definition, V (x) R_0 -> R_1 being the identity on
+        # the basis: _strand_betti computes it, koszul_betti builds no block
+        rings = [build_ring(P, c, 2) for P in corpus50[:10] for c in (1, 2)]
+        assert all(_strand_betti(ring, 0, 1, RankPolicy()) == 0 for ring in rings)
+
+        def refuse(*args):
+            raise AssertionError("beta_{0,1} built a level")
+
+        monkeypatch.setattr(koszul, "_level_blocks", refuse)
+        assert all(koszul_betti(ring, 0, 1) == 0 for ring in rings)
+
     def test_window_is_checked_first(self, unit_triangle):
         # i > pd still needs the window, as every strand up to dim V does;
         # beyond dim V the strand is 0 with no window check, as before
@@ -915,6 +927,76 @@ class TestComplexIntegrity:
             row[0], row[1] = row[1], row[0]
             ring.shifts[d] = (tuple(row),) + table[1:]
         assert compose_is_zero(ring, i, j) is False
+
+    # the record of passed facts: a table changed after a pass must still be
+    # caught, each at a strand whose other fact the record vouches for
+    @pytest.mark.parametrize("j, d, v", [
+        pytest.param(j, d, v, id=f"{j}-{d}{'-last' if v else ''}")
+        for v in (0, -1) for j, d in ((2, 1), (3, 1), (3, 2))
+    ])
+    def test_swapped_shift_after_a_pass_is_caught(self, cubic_triangle, j, d, v):
+        ring = build_ring(cubic_triangle, 1, 4)
+        assert compose_is_zero(ring, 1, j)
+        assert ring.passed[("commute", j - 2)] == (ring.shifts[j - 2], ring.shifts[j - 1])
+        table = list(ring.shifts[d])
+        row = list(table[v])
+        row[0], row[1] = row[1], row[0]
+        table[v] = tuple(row)
+        ring.shifts[d] = tuple(table)
+        assert compose_is_zero(ring, 1, j) is False
+
+    @pytest.mark.parametrize("q", [pytest.param(1, id="outgoing"), pytest.param(2, id="incoming")])
+    def test_sign_flipped_after_a_pass_is_caught_at_another_j(self, cubic_triangle, q):
+        ring = build_ring(cubic_triangle, 1, 4)
+        assert compose_is_zero(ring, 1, 2)
+        assert ("signs", 1) in ring.passed and ("commute", 1) not in ring.passed
+        faces = ring.wedges[q].faces
+        S = ring.wedges[q].masks[-1]
+        (sign, F), *rest = faces[S]
+        faces[S] = ((-sign, F), *rest)
+        assert compose_is_zero(ring, 1, 3) is False
+
+    def test_an_equal_copy_passes_on_the_record(self, cubic_triangle):
+        # tables equal to the ones both facts passed on, as other objects: the
+        # record vouches for them without reading an entry, where a fresh
+        # ring reads them
+        reads = []
+
+        class Rows(tuple):
+            def __getitem__(self, k):
+                reads.append(k)
+                return tuple.__getitem__(self, k)
+
+        class Faces(dict):
+            def __getitem__(self, k):
+                reads.append(k)
+                return dict.__getitem__(self, k)
+
+        def copy_tables(ring):
+            for d in (1, 2):
+                ring.shifts[d] = Rows(tuple([*row]) for row in koszul._shift(ring, d))
+            for q in (1, 2):
+                table = koszul._wedge(ring, q)
+                ring.wedges[q] = table._replace(faces=Faces(table.faces))
+
+        fresh = build_ring(cubic_triangle, 1, 4)
+        copy_tables(fresh)
+        assert compose_is_zero(fresh, 1, 3) and reads
+        ring = build_ring(cubic_triangle, 1, 4)
+        assert compose_is_zero(ring, 1, 3)
+        copy_tables(ring)
+        reads.clear()
+        assert compose_is_zero(ring, 1, 3) and reads == []
+
+    def test_memo_fields_are_not_the_value(self, cubic_triangle):
+        # two rings of one (P, c, dmax), one with its tables and d o d record
+        # filled: equal, with equal hashes and reprs
+        bare, used = build_ring(cubic_triangle, 2, 4), build_ring(cubic_triangle, 2, 4)
+        betti_table(used, 3, 3)
+        assert all(compose_is_zero(used, i, j) for i in range(1, 4) for j in range(i, i + 4))
+        assert used.degrees and used.wedges and used.shifts and used.downs and used.passed
+        assert not (bare.degrees or bare.passed)
+        assert bare == used and hash(bare) == hash(used) and repr(bare) == repr(used)
 
     def test_negative_degrees_refused(self, cubic_triangle):
         ring = build_ring(cubic_triangle, 1, 4)

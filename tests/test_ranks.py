@@ -78,7 +78,7 @@ def test_rank_matches_fraction_oracle_on_signed_units(nrows, ncols):
 
 
 @pytest.mark.parametrize("nrows, ncols", [(1, 1), (1, 7), (7, 1), (5, 5), (12, 30), (30, 12), (40, 40)])
-def test_rank_matches_bareiss_on_integers(nrows, ncols):
+def test_rank_matches_fraction_oracle_on_integers(nrows, ncols):
     rng = random.Random(3000 * nrows + ncols)
     for density in (0.1, 0.4, 1.0):
         for _ in range(5):
