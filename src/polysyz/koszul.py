@@ -100,18 +100,18 @@ the whole table unchanged).  Being a cone at level i is orbit invariant as
 well.  So a strand is the sum, over one block per orbit that is not a cone,
 of the orbit's size times that block's Betti number; `_strand_betti`
 matches and ranks the first block of each such orbit in level order and
-skips the rest.  The group is looked for only once it can pay: the blocks
-of an orbit have equal sizes, so until a strand meets a second block of
-one size that is not a cone, each such block is counted once and waits,
-and one still waiting at the end is an orbit of its own.  In the small
-windows of the CLI most strands have one block that is not a cone, and
-their rings never search.  Once the group is known, the ring takes each
-orbit as soon as its first block is matched.  The orbit is read off the
-codes, which the action keeps linear:
+skips the rest.  The blocks of an orbit have equal sizes (numbers of
+middle cells), since g carries Delta_u onto Delta_{g.u}.  So a block whose
+size no other block of the strand has is an orbit of its own: it is
+counted once, and no group is needed for it.  Only a block that is not a
+cone and whose size the strand repeats takes its orbit, as soon as it is
+matched.  In the small windows of the CLI most such blocks have a size of
+their own, and many rings never search.  The orbit is read off the codes,
+which the action keeps linear:
 code(g.u) = sum_l u_l * code(A e_l) + c*j*code(b), with u's coordinates the
 balanced base-M digits of its code (each lies strictly between -M/2 and M/2
 by the radix bound below).  The codes of A e_l and b are found once per
-ring (`_actions`), and the group once per polytope, on the first orbit
+ring (`_actions`), and the group once per polytope, at the first orbit
 taken.  Each orbit is checked to land on blocks of the strand with as many
 middle cells.
 
@@ -204,6 +204,7 @@ complex need no case of their own.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from math import comb
@@ -658,18 +659,13 @@ def _actions(ring: GradedSectionRing) -> List[tuple]:
     return ring.actions
 
 
-def _moves(ring: GradedSectionRing, j: int) -> List[tuple]:
-    """`_actions` for multidegrees of degree j: each code(b) times c * j."""
-    shift = ring.c * j
-    return [(cols, shift * b) for cols, b in _actions(ring)]
-
-
 def _orbit(ring: GradedSectionRing, u: int, moves: List[tuple], blocks, seen: set) -> set:
     """The codes of the orbit of block u, added to `seen`.
 
-    `moves` are the strand's `_moves`, and the coordinates of u are the
-    balanced base-M digits of its code.  Every code of the orbit must be a
-    block of the strand, in `blocks`, with as many middle cells as u."""
+    `moves` are the ring's `_actions` for the strand's degree j, each
+    code(b) times c * j, and the coordinates of u are the balanced base-M
+    digits of its code.  Every code of the orbit must be a block of the
+    strand, in `blocks`, with as many middle cells as u."""
     M = ring.radix
     coords = []
     x = u
@@ -693,17 +689,15 @@ def _strand_betti(ring: GradedSectionRing, i: int, j: int, policy: RankPolicy) -
     """The sum over the strand's blocks of their Betti numbers.
 
     Only the middle level is split.  Each block is first matched
-    (`_morse_count`): a cone adds 0, and any other block adds its Betti
-    number (`_block_betti`) times the size of its Aut(P)-orbit; the other
+    (`_morse_count`): a cone adds 0.  Any other block adds its Betti number
+    (`_block_betti`) once if no other block of the strand has its size, for
+    the blocks of an orbit have equal sizes and it is an orbit of its own.
+    Otherwise it adds it times the size of its Aut(P)-orbit, and the other
     blocks of the orbit, which have the same Betti number, are skipped.
-    Until the ring's group is known, a block that is not a cone counts once
-    and waits; the group is found when a second such block of the same size
-    turns up, for the blocks of an orbit have equal sizes, and the waiting
-    blocks' orbits are taken then.  A block still waiting at the end is an
-    orbit of its own.  Under policy.certify nothing is matched and no orbit
-    is taken, so every block with a source or a target cell has its full
-    maps ranked, and a strand with a block of more than `_CERTIFY_CELLS`
-    middle cells is refused.
+    Under policy.certify nothing is matched and no orbit is taken, so every
+    block with a source or a target cell has its full maps ranked, and a
+    strand with a block of more than `_CERTIFY_CELLS` middle cells is
+    refused.
     """
     d = j - i
     size, masks, down, n = ring.dim(d), _wedge(ring, i).masks, _down(ring, d), ring.dim_V
@@ -711,10 +705,7 @@ def _strand_betti(ring: GradedSectionRing, i: int, j: int, policy: RankPolicy) -
     if policy.certify:
         _certify_fits(blocks, i, j)
     seen = set()  # the blocks of the orbits taken
-    moves = _moves(ring, j) if ring.actions else None
-    # before the group is known: block size -> (u, beta_u) of each block of
-    # that size counted once, its orbit not taken
-    waiting: Dict[int, list] = {}
+    sizes = moves = None
     total = 0
     for u, elements in blocks.items():
         if u in seen:
@@ -722,20 +713,15 @@ def _strand_betti(ring: GradedSectionRing, i: int, j: int, policy: RankPolicy) -
         morse = _morse_count(elements, size, masks, down, n, policy.certify)
         if morse is None:
             continue
-        if moves is None and len(elements) in waiting:
-            moves = _moves(ring, j)
-            for v, b in itertools.chain.from_iterable(waiting.values()):
-                total += (len(_orbit(ring, v, moves, blocks, seen)) - 1) * b
-            if u in seen:
-                continue
         b = _block_betti(ring, i, j, u, morse)
-        if policy.certify:
+        if sizes is None:  # a strand of cones needs no sizes
+            sizes = Counter(map(len, blocks.values()))
+        if policy.certify or sizes[len(elements)] == 1:
             total += b
-        elif moves is None:
-            waiting.setdefault(len(elements), []).append((u, b))
-            total += b
-        else:
-            total += len(_orbit(ring, u, moves, blocks, seen)) * b
+            continue
+        if moves is None:
+            moves = [(cols, ring.c * j * shift) for cols, shift in _actions(ring)]
+        total += len(_orbit(ring, u, moves, blocks, seen)) * b
     return total
 
 

@@ -648,13 +648,16 @@ class TestMorseMatching:
                 for j in range(i, i + max_slope + 1):
                     where = (name, c, i, j)
                     non_cone = {u for u, _, morse in _morse_blocks(ring, i, j) if morse is not None}
-                    code = {mid[0]: u for u, mid in koszul._level_blocks(ring, i, j - i).items()}
+                    level = koszul._level_blocks(ring, i, j - i)
+                    code = {mid[0]: u for u, mid in level.items()}
+                    shared = Counter(map(len, level.values()))
                     oracle = _oracle_orbits(ring, i, j)
                     taken.clear()
                     del matched[:]
                     _strand_betti(ring, i, j, RankPolicy())
-                    # a block matched while its orbit was waiting to be
-                    # taken is skipped, not counted again
+                    # a block in an orbit already taken is skipped, not
+                    # matched again; a matched block whose orbit is not
+                    # taken is counted alone
                     covered = set().union(*taken.values())
                     alone = [code[e] for e in matched if code[e] not in covered]
                     orbits = list(taken.values()) + [{u} for u in alone]
@@ -663,11 +666,17 @@ class TestMorseMatching:
                     assert set().union(*orbits) == non_cone, where
                     for u, found in taken.items():
                         assert found == oracle[u], (where, u)
+                        # an orbit is taken only of a block whose size
+                        # another block of the strand has
+                        assert shared[len(level[u])] > 1, (where, u)
                         sizes[len(found), True] += 1
                     for u in alone:
                         assert oracle[u] == {u}, (where, u)
+                        # and every block of a size no other block has is
+                        # counted alone
+                        assert shared[len(level[u])] == 1, (where, u)
                         sizes[1, False] += 1
-        # orbits of every size the groups allow, and blocks left waiting
+        # orbits of every size the groups allow, and blocks counted alone
         assert sizes[1, True] > 100 and sizes[1, False] > 10
         assert all(sizes[k, True] for k in (2, 3, 4, 6, 8, 12, 24))
 
@@ -702,6 +711,24 @@ class TestMorseMatching:
         assert all(compose_is_zero(ring, i, j) for i in range(4) for j in range(i, i + 4))
         with pytest.raises(AssertionError, match="search was reached"):
             betti_table(ring, 3, 3)
+
+    def test_no_repeated_size_takes_no_search(self, cubic_triangle, unit_square,
+                                              unit_triangle, monkeypatch):
+        # in the default CLI c = 1 windows (i <= 4, slope dim + 2) of these
+        # polytopes every non-cone block has a size no other block of its
+        # strand has, so the tables are served with the group search
+        # failing, and they equal the certified ones
+        def search(P):
+            raise AssertionError("the automorphism search was reached")
+
+        monkeypatch.setattr(lattice, "_find_automorphisms", search)
+        for fixture in (cubic_triangle, unit_square, unit_triangle):
+            P = LatticePolytope.from_points(fixture.vertices)
+            slope = P.dim + 2
+            ring = build_ring(P, 1, slope + 1)
+            table = betti_table(ring, 4, slope)
+            certified = betti_table(ring, 4, slope, RankPolicy(certify=True))
+            assert table.entries == certified.entries, fixture.vertices
 
     def test_an_orbit_off_the_level_is_refused(self, cubic_triangle, monkeypatch):
         # a translation is no symmetry of P: the codes it moves a block to
