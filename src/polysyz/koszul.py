@@ -154,7 +154,9 @@ strand splits only its middle level into blocks (`_level_blocks`); level
 (q, d) is the middle of the one strand (q, q + d), so nothing is kept.
 Within one block the multidegree fixes the ring element of each face, so a
 block's cells are the bitmasks of their faces, and a Morse column reads its
-faces, bitmasks too, and signs from the wedge table, keyed by bitmask.  A
+faces, bitmasks too, with their signs off the bitmask by one rule
+(`_boundary`): the t-th bit s_t of S, counted from 0 in increasing order,
+gives the face S - {s_t} with sign (-1)^t.  No face or sign is stored.  A
 degree keeps only its basis and codes; the one map from a code back to its
 index in the basis is built by the shift table, its one reader (`_shift`).
 
@@ -163,36 +165,37 @@ composite is a sum over ordered pairs s != t in S of signed terms
 e_{S - {s, t}} (x) x_t x_s r, and it vanishes for two reasons: the x's
 commute and the exterior signs anticommute (Eisenbud, The Geometry of
 Syzygies, the Koszul complex).  The check tests the two facts directly.
-The x's commute: for every pair s < t of generators, the map r -> x_t x_s r
-on R_d, read in two steps from the ring's shift tables (shift_d[s][r] is
-the index of bases[d][r] + bases[1][s] in bases[d + 1]), equals
-r -> x_s x_t r.  The signs cancel: for every source face S, the sign
-products reaching each face G of a face of S, read from the ring's wedge
-tables, keyed by bitmask, sum to 0.  The Morse columns read the same wedge
-tables, and the matching reads the down-shift masks inverted from the same
-shift tables; one code sum for x_t x_s r would commute by construction and
-so check nothing.  Together the two facts are exact both ways.  In the
-wedge table `_wedge` builds, the face G = S - {s, t} is reached only by the
-pairs (s, t) and (t, s).  Where their maps agree at r, the composite's
-coefficient on e_G (x) x_t x_s r is their sign sum.  Where they differ, the
-two terms are +-1 on two different basis elements, and no other pair
-reaches G, so the composite is not zero.  Every pair s < t lies in some
-source face S, since 2 <= i + 1 <= dim V.
+The x's commute: for every pair s < t of generators, the map
+r -> x_t x_s r on R_d, read in two steps from the ring's shift tables
+(shift_d[s][r] is the index of bases[d][r] + bases[1][s] in bases[d + 1]),
+equals r -> x_s x_t r.  The signs cancel: for every source face S, the
+sign products reaching each face G of a face of S, read off the bitmasks
+by the rule `_boundary`, sum to 0.  The Morse columns call the same rule,
+and the matching reads the down-shift masks inverted from the same shift
+tables; one code sum for x_t x_s r would commute by construction and so
+check nothing.  Together the two facts are exact both ways.  Under the
+rule the face G = S - {s, t} is reached only by the pairs (s, t) and
+(t, s).  Where their maps agree at r, the composite's coefficient on
+e_G (x) x_t x_s r is their sign sum.  Where they differ, the two terms are
++-1 on two different basis elements, and no other pair reaches G, so the
+composite is not zero.  Every pair s < t lies in some source face S, since
+2 <= i + 1 <= dim V.
 
 The commuting fact reads only shift_d and shift_{d+1}, and the sign fact
-only the faces of wedge^i V and wedge^{i+1} V; a window's strands share
-them, the first across i at one d = j - i - 1, the second across j at one
-i.  So the ring records, for each fact that passes, the tables it passed
-on (`GradedSectionRing.passed`): the pair of shift tables itself, whose
-tuples cannot change, and copies of the two faces dicts, whose values are
-tuples.  A strand whose tables equal the recorded ones has the fact
-already; any other tables get the full check, and a fact that fails is
-never recorded.  Equal tables give the same verdict, so the record is
-exact.  The check costs n(n-1) * |R_d| shift reads, n = dim V, once per
-pair of shift tables, plus about C(n, q) * q(q-1) face steps, q = i + 1,
-once per pair of wedge tables.  A strand whose facts are recorded costs a
-comparison of its tables with the record: a test of identity per row of
-the shift tables, and one dict lookup per face of the wedge tables.
+only the rule on the bitmasks of wedge^i V and wedge^{i+1} V; a window's
+strands share them, the first across i at one d = j - i - 1, the second
+across j at one i.  So the ring records, for each fact that passes, what it
+passed on (`GradedSectionRing.passed`): the pair of shift tables itself,
+whose tuples cannot change, and the rule `_boundary` itself.  A strand
+whose shift tables equal the recorded ones, or whose rule is the recorded
+one, has the fact already; any other tables or rule get the full check, and
+a fact that fails is never recorded.  Equal tables give the same verdict,
+and so does one rule, since the masks it is read on are those of every
+subset of one size, fixed by dim V and i; so the record is exact.  The
+check costs n(n-1) * |R_d| shift reads, n = dim V, once per pair of shift
+tables, plus about C(n, q) * q(q-1) face steps, q = i + 1, once per i.  A
+strand whose facts are recorded costs a test of identity per row of the
+shift tables and one test of identity of the rule.
 
 A middle level wedge^q V (x) R_d that does not exist (q > dim V, d < 0 or
 d > dmax) has no blocks.  A middle cell has no target face at q = 0 and no
@@ -271,9 +274,10 @@ class GradedSectionRing:
     actions: List[tuple] = field(
         default_factory=list, repr=False, hash=False, compare=False
     )
-    # ("commute", d) or ("signs", i) -> the tables that d o d fact last
-    # passed on (`compose_is_zero`), filled when it passes
-    passed: Dict[tuple, tuple] = field(
+    # ("commute", d) -> the pair of shift tables, ("signs", i) -> the
+    # boundary rule, that d o d fact last passed on (`compose_is_zero`),
+    # filled when it passes
+    passed: Dict[tuple, object] = field(
         default_factory=dict, repr=False, hash=False, compare=False
     )
 
@@ -374,14 +378,12 @@ class _Wedge(NamedTuple):
 
     codes[k] is the code of sum_{s in S} bases[1][s] for the k-th q-subset S
     in combinations order, and masks[k] is S as the bitmask
-    sum_{s in S} 2^s.  faces maps each such bitmask S, in the same order, to
-    (sign, S - {s}) for each s in S in increasing order, the face a bitmask
-    too, with the sign (-1)^t of the place t of s in S.
+    sum_{s in S} 2^s.  A face's sign is not stored: `_boundary` reads it off
+    the bitmask.
     """
 
     codes: list
     masks: list
-    faces: Dict[int, tuple]
 
 
 def _wedge(ring: GradedSectionRing, q: int) -> _Wedge:
@@ -391,16 +393,26 @@ def _wedge(ring: GradedSectionRing, q: int) -> _Wedge:
         n = ring.dim_V
         gen_codes = ring.degree(1).codes
         bits = [1 << s for s in range(n)]
-        codes, masks, faces = [], [], {}
+        codes, masks = [], []
         for S in itertools.combinations(range(n), q):
             codes.append(sum(map(gen_codes.__getitem__, S)))
-            mask = sum(map(bits.__getitem__, S))
-            masks.append(mask)
-            faces[mask] = tuple(
-                (-1 if t % 2 else 1, mask ^ bits[s]) for t, s in enumerate(S)
-            )
-        table = ring.wedges[q] = _Wedge(codes, masks, faces)
+            masks.append(sum(map(bits.__getitem__, S)))
+        table = ring.wedges[q] = _Wedge(codes, masks)
     return table
+
+
+def _boundary(S: int) -> List[Tuple[int, int]]:
+    """The Koszul boundary of e_S, S a bitmask: (sign, S - {s_t}) for each
+    bit s_t of S in increasing order, with sign (-1)^t.  The one place the
+    exterior sign is written; the Morse columns and the d o d check call it."""
+    terms = []
+    rest, sign = S, 1
+    while rest:
+        bit = rest & -rest
+        terms.append((sign, S ^ bit))
+        rest ^= bit
+        sign = -sign
+    return terms
 
 
 def _shift(ring: GradedSectionRing, d: int):
@@ -450,14 +462,14 @@ def _level_blocks(ring: GradedSectionRing, q: int, d: int):
     return blocks
 
 
-def _differential_columns(ring, q, cells, critical, up):
+def _differential_columns(cells, critical, up):
     """Sparse columns of the Morse differential of one block on its critical
-    cells `cells` of wedge^q V (bitmasks), each entry keyed by its row: the
-    bitmask of a critical cell F of wedge^{q-1} V, F in `critical`.  `up` is
-    the block's partner map (`_Morse`).
+    cells `cells`, bitmasks of one level wedge^q V, each entry keyed by its
+    row: the bitmask of a critical cell F of wedge^{q-1} V, F in `critical`.
+    `up` is the block's partner map (`_Morse`).
 
     The Koszul boundary of S is sum_t (-1)^t (S - s_t), s_0 < s_1 < ...,
-    read from the wedge table by bitmask.  A face F of S is replaced by its
+    read off the bitmask by `_boundary`.  A face F of S is replaced by its
     projection: a critical F is its own row; a matched F, with partner
     up[F] = F + {v} in wedge^q V, is eliminated along the unit entry
     e = [up[F] : F], so it projects to -e times the sum of
@@ -467,7 +479,6 @@ def _differential_columns(ring, q, cells, critical, up):
     so each matched cell is expanded once, with an explicit stack; a cell
     that waits on itself means the matching was not acyclic.
     """
-    faces = _wedge(ring, q).faces
     memo: Dict[int, Dict[int, int]] = {}  # matched cell -> its projection
     opened = set()
 
@@ -491,7 +502,7 @@ def _differential_columns(ring, q, cells, critical, up):
             if F in memo:
                 stack.pop()
                 continue
-            terms = faces[up[F]]
+            terms = _boundary(up[F])
             waiting = [G for _, G in terms if G in up and G not in memo and G != F]
             if waiting:
                 if F in opened:
@@ -505,7 +516,7 @@ def _differential_columns(ring, q, cells, critical, up):
 
     cols = []
     for S in cells:
-        terms = faces[S]
+        terms = _boundary(S)
         for _, F in terms:
             if F in up and F not in memo:
                 project(F)
@@ -713,7 +724,7 @@ def _strand_betti(ring: GradedSectionRing, i: int, j: int, policy: RankPolicy) -
         morse = _morse_count(elements, size, masks, down, n, policy.certify)
         if morse is None:
             continue
-        b = _block_betti(ring, i, j, u, morse)
+        b = _block_betti(i, j, u, morse)
         if sizes is None:  # a strand of cones needs no sizes
             sizes = Counter(map(len, blocks.values()))
         if policy.certify or sizes[len(elements)] == 1:
@@ -725,16 +736,16 @@ def _strand_betti(ring: GradedSectionRing, i: int, j: int, policy: RankPolicy) -
     return total
 
 
-def _block_betti(ring: GradedSectionRing, i: int, j: int, u: int, morse: _Morse) -> int:
+def _block_betti(i: int, j: int, u: int, morse: _Morse) -> int:
     """beta_u = #critical middle cells - rank(outgoing) - rank(incoming).
 
     Only the Morse maps with a critical source and a critical target cell
     are assembled and ranked, by Bareiss on their dense rows; any other map
     has rank 0."""
     ranked = 0
-    for q, cells, lower in ((i, morse.middle, morse.low), (i + 1, morse.high, morse.middle)):
+    for cells, lower in ((morse.middle, morse.low), (morse.high, morse.middle)):
         if cells and lower:
-            ranked += rank(_dense(_differential_columns(ring, q, cells, lower, morse.up)))
+            ranked += rank(_dense(_differential_columns(cells, lower, morse.up)))
     critical = len(morse.middle)
     if critical < ranked:
         raise ConsistencyError(
@@ -754,15 +765,16 @@ def compose_is_zero(ring: GradedSectionRing, i: int, j: int) -> bool:
     x_t x_s r = x_s x_t r for every pair s < t, read in two steps from the
     ring's shift tables, `shift_{d+1}[t][shift_d[s][r]]`; and the signs
     cancel, every face S - {s, t} of a face of S getting sign sum 0 from the
-    ring's wedge tables.  These are the tables the Morse columns and the
-    matching read.
+    boundary rule `_boundary`.  These are the tables and the rule the
+    matching and the Morse columns read.
 
-    Each fact is checked once per pair of tables: when it passes, the ring
-    records the tables (the shift pair, and copies of the two faces dicts),
-    and a later strand whose tables equal the recorded ones skips that
-    fact.  The verdict is a function of the tables' contents, so the record
-    is exact; tables changed since, in place or by replacement, get the
-    full check.
+    Each fact is checked once per pair of shift tables and once per i: when
+    it passes, the ring records what it passed on, the shift pair or the
+    rule itself, and a later strand whose shift tables equal the recorded
+    ones, or whose rule is the recorded one, skips that fact.  The verdict
+    is a function of the tables' contents and of the rule, so the record is
+    exact; tables changed since, in place or by replacement, and any other
+    rule, such as a patched one, get the full check.
     """
     if i < 0 or j < 0:
         raise DegenerateInput("i, j must be nonnegative")
@@ -778,16 +790,17 @@ def compose_is_zero(ring: GradedSectionRing, i: int, j: int) -> bool:
             if [second[t][x] for x in first[s]] != [second[s][x] for x in first[t]]:
                 return False
         ring.passed[("commute", d)] = shifts
-    faces_out, faces_in = _wedge(ring, i).faces, _wedge(ring, i + 1).faces
-    if ring.passed.get(("signs", i)) != (faces_out, faces_in):
-        for faces in faces_in.values():
+    if ring.passed.get(("signs", i)) is not _boundary:
+        # the boundaries of wedge^i V, built once per check and not kept
+        faces = {F: _boundary(F) for F in _wedge(ring, i).masks}
+        for S in _wedge(ring, i + 1).masks:
             sums: Dict[int, int] = {}
-            for sign, F in faces:
-                for sign2, G in faces_out[F]:
+            for sign, F in _boundary(S):
+                for sign2, G in faces[F]:
                     sums[G] = sums.get(G, 0) + sign * sign2
             if any(sums.values()):
                 return False
-        ring.passed[("signs", i)] = (dict(faces_out), dict(faces_in))
+        ring.passed[("signs", i)] = _boundary
     return True
 
 

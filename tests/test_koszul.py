@@ -332,10 +332,9 @@ def _matched_blocks(ring, i, j):
             decided = not morse.middle or not (morse.low or morse.high)
         if not decided:
             morse_b = critical
-            for q, cells, lower in ((i, morse.middle, morse.low),
-                                    (i + 1, morse.high, morse.middle)):
+            for cells, lower in ((morse.middle, morse.low), (morse.high, morse.middle)):
                 if cells and lower:
-                    cols = koszul._differential_columns(ring, q, cells, lower, morse.up)
+                    cols = koszul._differential_columns(cells, lower, morse.up)
                     morse_b -= exact_rank(koszul._dense(cols))
                     ranked += 1
         yield _Block(u, critical, decided, morse is None, b, morse_b, ranked,
@@ -740,14 +739,13 @@ class TestMorseMatching:
         with pytest.raises(ConsistencyError, match="orbit of block"):
             betti_table(build_ring(cubic_triangle, 2, 4), 3, 3)
 
-    def test_a_cyclic_matching_is_refused(self, unit_triangle):
+    def test_a_cyclic_matching_is_refused(self):
         # {1} up to {0,1}, {2} up to {1,2}, {0} up to {0,2}: the gradient
         # path {1} -> {0,1} -> {0} -> {0,2} -> {2} -> {1,2} -> {1} is a
         # cycle, which no acyclic matching has, and the projection stops on it
-        ring = build_ring(unit_triangle, 1, 2)
         up = {0b010: 0b011, 0b100: 0b110, 0b001: 0b101}
         with pytest.raises(ConsistencyError, match="cycle"):
-            koszul._differential_columns(ring, 2, [0b011], {}, up)
+            koszul._differential_columns([0b011], {}, up)
 
 
 class TestKoszulBetti:
@@ -824,9 +822,9 @@ class TestKoszulBetti:
         block = [None]
         checked = []
 
-        def noted(ring, i, j, u, morse):
-            block[0] = (ring, i, j, u)
-            return block_betti(ring, i, j, u, morse)
+        def noted(i, j, u, morse):
+            block[0] = (i, j, u)
+            return block_betti(i, j, u, morse)
 
         def cross_checked(rows):
             r = kernel(rows)
@@ -841,13 +839,14 @@ class TestKoszulBetti:
         windows = ((simplex112, 2, 3, 3, 6), (cubic_triangle, 2, 4, 4, 6), (asymmetric, 1, 4, 4, 5))
         for P, c, max_i, max_slope, entries in windows:
             del checked[:]
-            table = betti_table(build_ring(P, c, max_slope + 1), max_i, max_slope)
+            ring = build_ring(P, c, max_slope + 1)
+            table = betti_table(ring, max_i, max_slope)
             assert len(table.entries) == entries
             orbits = {}
-            for _, (ring, i, j, u) in checked:
+            for _, (i, j, u) in checked:
                 if (i, j) not in orbits:
                     orbits[i, j] = _oracle_orbits(ring, i, j)
-            assert sum(len(orbits[i, j][u]) for _, (_, i, j, u) in checked) > 100
+            assert sum(len(orbits[i, j][u]) for _, (i, j, u) in checked) > 100
             assert any(r for r, _ in checked) == (P is not simplex112)
         assert len(checked) > 100
 
@@ -858,6 +857,21 @@ class TestKoszulBetti:
                 betti_table(ring, max_i, max_slope)
             with pytest.raises(DegenerateInput):
                 np_level(ring, max_i, max_slope)
+
+
+def _flip_a_sign(monkeypatch, S):
+    """Patch `koszul._boundary` with a copy that flips the sign of the first
+    face of S and of no other."""
+    rule = koszul._boundary
+
+    def flipped(T):
+        terms = rule(T)
+        if T == S:
+            (sign, F), *rest = terms
+            terms = [(-sign, F), *rest]
+        return terms
+
+    monkeypatch.setattr(koszul, "_boundary", flipped)
 
 
 class TestComplexIntegrity:
@@ -871,17 +885,18 @@ class TestComplexIntegrity:
                     assert dense_compose_is_zero(ring, i, j)
 
     def test_each_face_of_a_face_has_two_opposite_pairs(self):
-        # the fact that makes the two-fact d o d check exact: in the wedge tables, a
-        # face G of a face of S is reached by exactly the ordered pairs
-        # (s, t) and (t, s) with G = S - {s, t}, with opposite sign products
+        # the fact that makes the two-fact d o d check exact: under the
+        # boundary rule, on the wedge tables' masks, a face G of a face of S
+        # is reached by exactly the ordered pairs (s, t) and (t, s) with
+        # G = S - {s, t}, with opposite sign products
         faces_seen = 0
         for name, c, _, _ in TestMorseMatching.WINDOWS:
             ring = build_ring(load_polytope(str(DATA / f"{name}.json")), c, 1)
             for q in range(1, min(ring.dim_V - 1, 4) + 1):
-                faces_out = koszul._wedge(ring, q).faces
-                for S, faces in koszul._wedge(ring, q + 1).faces.items():
+                faces_out = {F: koszul._boundary(F) for F in koszul._wedge(ring, q).masks}
+                for S in koszul._wedge(ring, q + 1).masks:
                     reached = {}
-                    for sign, F in faces:
+                    for sign, F in koszul._boundary(S):
                         s = (S ^ F).bit_length() - 1
                         for sign2, G in faces_out[F]:
                             t = (F ^ G).bit_length() - 1
@@ -894,27 +909,26 @@ class TestComplexIntegrity:
                     faces_seen += len(reached)
         assert faces_seen > 1000
 
-    # one face sign flipped in the wedge table of the incoming map (source
-    # wedge degree q = i + 1) or of the outgoing one (q = i) must be caught,
-    # and the rank path, which reads the same table, must see the flip too
+    # one face sign flipped by the boundary rule on a face S of the incoming
+    # map (source wedge degree q = i + 1) or of the outgoing one (q = i) must
+    # be caught, and the rank path, which calls the same rule, must see the
+    # flip too
     @pytest.mark.parametrize("j, q", [
         pytest.param(2, 2, id="2"),
         pytest.param(3, 2, id="3"),
         pytest.param(2, 1, id="2-outgoing"),
         pytest.param(3, 1, id="3-outgoing"),
     ])
-    def test_wrong_sign_is_caught(self, cubic_triangle, j, q):
+    def test_wrong_sign_is_caught(self, cubic_triangle, j, q, monkeypatch):
         ring = build_ring(cubic_triangle, 1, 4)
         assert compose_is_zero(ring, 1, j)
         # the first q-subset's boundary, unmatched, onto every (q-1)-subset
         S = koszul._wedge(ring, q).masks[0]
         rows = {F: row for row, F in enumerate(koszul._wedge(ring, q - 1).masks)}
-        before = koszul._differential_columns(ring, q, [S], rows, {})
-        faces = ring.wedges[q].faces
-        (sign, F), *rest = faces[S]
-        faces[S] = ((-sign, F), *rest)
+        before = koszul._differential_columns([S], rows, {})
+        _flip_a_sign(monkeypatch, S)
         assert compose_is_zero(ring, 1, j) is False
-        assert koszul._differential_columns(ring, q, [S], rows, {}) != before
+        assert koszul._differential_columns([S], rows, {}) != before
 
     # two entries of one row of the shift table x_v * (-): R_d -> R_{d+1}
     # swapped, at the first (d = j - 2) or second (d = j - 1) step of x_t x_s r,
@@ -939,14 +953,12 @@ class TestComplexIntegrity:
     # outgoing table or a swapped x_0 row leaves some of them summing to
     # zero, yet the check must fail
     @pytest.mark.parametrize("fault", ["sign", "shift"])
-    def test_fault_on_some_faces_is_caught(self, cubic_triangle, fault):
+    def test_fault_on_some_faces_is_caught(self, cubic_triangle, fault, monkeypatch):
         i, j = 2, 4
         assert compose_is_zero(build_ring(cubic_triangle, 1, 4), i, j)
         ring = build_ring(cubic_triangle, 1, 4)
         if fault == "sign":
-            table = koszul._wedge(ring, i)
-            (sign, F), *rest = table.faces[table.masks[0]]
-            table.faces[table.masks[0]] = ((-sign, F), *rest)
+            _flip_a_sign(monkeypatch, koszul._wedge(ring, i).masks[0])
         else:
             d = j - i - 1
             table = koszul._shift(ring, d)
@@ -973,47 +985,50 @@ class TestComplexIntegrity:
         assert compose_is_zero(ring, 1, j) is False
 
     @pytest.mark.parametrize("q", [pytest.param(1, id="outgoing"), pytest.param(2, id="incoming")])
-    def test_sign_flipped_after_a_pass_is_caught_at_another_j(self, cubic_triangle, q):
+    def test_sign_flipped_after_a_pass_is_caught_at_another_j(self, cubic_triangle, q,
+                                                              monkeypatch):
+        # the sign fact's record is the rule it passed on, so a rule patched
+        # after the pass gets the full check
         ring = build_ring(cubic_triangle, 1, 4)
         assert compose_is_zero(ring, 1, 2)
-        assert ("signs", 1) in ring.passed and ("commute", 1) not in ring.passed
-        faces = ring.wedges[q].faces
-        S = ring.wedges[q].masks[-1]
-        (sign, F), *rest = faces[S]
-        faces[S] = ((-sign, F), *rest)
+        assert ring.passed[("signs", 1)] is koszul._boundary
+        assert ("commute", 1) not in ring.passed
+        _flip_a_sign(monkeypatch, ring.wedges[q].masks[-1])
         assert compose_is_zero(ring, 1, 3) is False
 
-    def test_an_equal_copy_passes_on_the_record(self, cubic_triangle):
-        # tables equal to the ones both facts passed on, as other objects: the
-        # record vouches for them without reading an entry, where a fresh
-        # ring reads them
-        reads = []
+    def test_an_equal_copy_passes_on_the_record(self, cubic_triangle, monkeypatch):
+        # shift tables equal to the ones the commuting fact passed on, as
+        # other objects: the record vouches for them without reading an
+        # entry, where a fresh ring reads them.  The sign fact passed on the
+        # boundary rule: a second strand at the same i calls it no more
+        reads, calls = [], []
 
         class Rows(tuple):
             def __getitem__(self, k):
                 reads.append(k)
                 return tuple.__getitem__(self, k)
 
-        class Faces(dict):
-            def __getitem__(self, k):
-                reads.append(k)
-                return dict.__getitem__(self, k)
-
         def copy_tables(ring):
             for d in (1, 2):
                 ring.shifts[d] = Rows(tuple([*row]) for row in koszul._shift(ring, d))
-            for q in (1, 2):
-                table = koszul._wedge(ring, q)
-                ring.wedges[q] = table._replace(faces=Faces(table.faces))
 
+        rule = koszul._boundary
+
+        def counted(S):
+            calls.append(S)
+            return rule(S)
+
+        monkeypatch.setattr(koszul, "_boundary", counted)
         fresh = build_ring(cubic_triangle, 1, 4)
         copy_tables(fresh)
-        assert compose_is_zero(fresh, 1, 3) and reads
+        assert compose_is_zero(fresh, 1, 3) and reads and calls
         ring = build_ring(cubic_triangle, 1, 4)
         assert compose_is_zero(ring, 1, 3)
         copy_tables(ring)
         reads.clear()
+        calls.clear()
         assert compose_is_zero(ring, 1, 3) and reads == []
+        assert compose_is_zero(ring, 1, 2) and calls == []
 
     def test_memo_fields_are_not_the_value(self, cubic_triangle):
         # two rings of one (P, c, dmax), one with its tables and d o d record

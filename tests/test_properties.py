@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polysyz import koszul
@@ -138,6 +138,26 @@ def test_compose_matches_dense_oracle(P):
     window = [(i, j) for i in range(4) for j in range(i, i + 3)]
     for i, j in window + window[::-1]:
         assert compose_is_zero(ring, i, j) == dense_compose_is_zero(ring, i, j), (i, j)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.integers(0, 31).flatmap(lambda width: st.integers(0, (1 << width) - 1)))
+@example((1 << 31) - 1)
+def test_boundary_rule(S):
+    # every bitmask up to 31 bits, dim V of the cubic triangle at c = 4: the
+    # boundary of S is its faces S - {s_t}, bits read off bin(S) in
+    # increasing order, with sign (-1)^t; and every G two steps below S is
+    # reached by exactly two terms, whose sign products sum to 0
+    bits = [s for s, digit in enumerate(reversed(bin(S)[2:])) if digit == "1"]
+    boundary = koszul._boundary(S)
+    assert boundary == [((-1) ** t, S ^ (1 << s)) for t, s in enumerate(bits)]
+    reached = {}
+    for sign, F in boundary:
+        for sign2, G in koszul._boundary(F):
+            reached.setdefault(G, []).append(sign * sign2)
+    assert len(reached) == len(bits) * (len(bits) - 1) // 2
+    for G, products in reached.items():
+        assert (S ^ G).bit_count() == 2 and len(products) == 2 and sum(products) == 0, G
 
 
 @settings(PROPERTY, max_examples=60)
