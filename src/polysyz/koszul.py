@@ -39,26 +39,30 @@ Most blocks are decided without a rank, by discrete Morse theory
 (`_morse_count`).  Match the cells one generator at a time: for v = v_1,
 v_2, ..., pair each unmatched face S without v with S + {v} when that face is
 in the block and unmatched too.  A sequence of such element matchings is
-acyclic on any family of sets (Jonsson, Simplicial Complexes of Graphs, 2008,
-section 4), and every matched entry of the differential is +-1, so by
-algebraic discrete Morse theory (Sköldberg, Morse theory from an algebraic
-viewpoint, Trans. AMS 2006; Jöllenbeck-Welker, Minimal resolutions via
-algebraic discrete Morse theory, 2009) the truncated complex is homotopic to
-its Morse complex on the unmatched ("critical") cells.  Hence beta_u is at
-most the number of critical middle cells, with equality when no source and
-no target cell is critical, and 0 when no middle cell is.  The generators go
-in decreasing order of count[v] = #{middle faces with v} + #{source faces
-with v}.  For a middle cell e_S (x) r of degree d and v not in S, the face
-S + {v} is in the block exactly when bases[d][r] - bases[1][v] is in
-R_{d-1}, that is when v is in the down-shift mask down_d[r], the inverse of
-the shift table of degree d - 1 (`_down`).  Delta_u is closed under subsets,
-so T -> T - {v} sends the source faces with v one to one onto the middle
-faces without v whose S + {v} is a face, and count[v] is the number of
-middle cells whose span S | down_d[r] holds v.  It equals the number of
-middle cells exactly when every middle face S without v has S + {v} in
-Delta_u: the block is a cone over v at level i, and the first generator
-matches every middle cell.  So the block is a cone exactly when the AND of
-its spans is not 0; that is the matching's first step, and a cone adds 0.
+acyclic on any family of sets, whatever the order of the generators
+(Jonsson, Simplicial Complexes of Graphs, 2008, section 4), and every
+matched entry of the differential is +-1, so by algebraic discrete Morse
+theory (Sköldberg, Morse theory from an algebraic viewpoint, Trans. AMS
+2006; Jöllenbeck-Welker, Minimal resolutions via algebraic discrete Morse
+theory, 2009) the truncated complex is homotopic to its Morse complex on the
+unmatched ("critical") cells.  Hence beta_u is at most the number of
+critical middle cells, with equality when no source and no target cell is
+critical, and 0 when no middle cell is.  The generators go in index order,
+the order of bases[1], the lattice points of cP in lexicographic order.
+For a middle cell e_S (x) r of degree d and v not in S, the face S + {v} is
+in the block exactly when bases[d][r] - bases[1][v] is in R_{d-1}, that is
+when v is in the down-shift mask down_d[r], the inverse of the shift table
+of degree d - 1 (`_down`).  So the span S | down_d[r] of a middle cell
+holds the v that are in S or make S + {v} a face.  Delta_u is closed under
+subsets, so T -> T - {v} sends the source faces with v one to one onto the
+middle faces without v whose S + {v} is a face.
+
+The cone exit.  If v is in every span, Delta_u is a cone over v at level i,
+and matching v first pairs every middle cell: a middle face S with v goes
+down to its face S - {v}, and one without v up to the face S + {v}, and no
+two middle cells share a partner.  So beta_u = 0.  A block whose spans have
+a nonzero AND is therefore decided before any matching, whatever the order
+of the generators, with one bitwise AND per middle cell, and a cone adds 0.
 
 No other level is split: the source and target cells are read off the
 spans.  By the bijection above the source faces are exactly the S + {v} for
@@ -173,13 +177,19 @@ sign products reaching each face G of a face of S, read off the bitmasks
 by the rule `_boundary`, sum to 0.  The Morse columns call the same rule,
 and the matching reads the down-shift masks inverted from the same shift
 tables; one code sum for x_t x_s r would commute by construction and so
-check nothing.  Together the two facts are exact both ways.  Under the
-rule the face G = S - {s, t} is reached only by the pairs (s, t) and
-(t, s).  Where their maps agree at r, the composite's coefficient on
-e_G (x) x_t x_s r is their sign sum.  Where they differ, the two terms are
-+-1 on two different basis elements, and no other pair reaches G, so the
-composite is not zero.  Every pair s < t lies in some source face S, since
-2 <= i + 1 <= dim V.
+check nothing.  The sign fact first checks the rule's shape
+(`_is_boundary`): on every bitmask of wedge^i V and wedge^{i+1} V its terms
+are exactly the faces S - {s}, one for each bit s of S, each with sign +-1.
+A rule that leaves out the face of the highest bit of every S still
+cancels, since a face of a face it never reaches sums to 0, so the shape is
+checked on its own; the Morse columns, which eliminate along a partner's
+face, refuse such a rule too.  Together the two facts are exact both ways.
+Under a rule of that shape the face G = S - {s, t} is reached only by the
+pairs (s, t) and (t, s).  Where their maps agree at r, the composite's
+coefficient on e_G (x) x_t x_s r is their sign sum.  Where they differ, the
+two terms are +-1 on two different basis elements, and no other pair
+reaches G, so the composite is not zero.  Every pair s < t lies in some
+source face S, since 2 <= i + 1 <= dim V.
 
 The commuting fact reads only shift_d and shift_{d+1}, and the sign fact
 only the rule on the bitmasks of wedge^i V and wedge^{i+1} V; a window's
@@ -415,6 +425,19 @@ def _boundary(S: int) -> List[Tuple[int, int]]:
     return terms
 
 
+def _is_boundary(S: int, terms) -> bool:
+    """Whether `terms` are (+-1, S - {s}), one for each bit s of S: the
+    shape of a Koszul boundary that the d o d check's exactness and the Morse
+    columns assume of the rule `_boundary`."""
+    rest = S  # the bits of S no term has removed yet
+    for sign, F in terms:
+        bit = S ^ F
+        if sign * sign != 1 or bit & (bit - 1) or not rest & bit:
+            return False
+        rest ^= bit
+    return not rest
+
+
 def _shift(ring: GradedSectionRing, d: int):
     """shift[s][r] = the index in bases[d + 1] of bases[d][r] + bases[1][s],
     memoized on the ring; one table serves the ranks and the d o d check."""
@@ -477,7 +500,8 @@ def _differential_columns(cells, critical, up):
     other F is matched down and projects to 0.  That is the sum over the
     gradient paths from S (module docstring).  Each projection is memoized,
     so each matched cell is expanded once, with an explicit stack; a cell
-    that waits on itself means the matching was not acyclic.
+    that waits on itself means the matching was not acyclic, and a partner
+    whose boundary lacks its matched face means the rule is not a boundary.
     """
     memo: Dict[int, Dict[int, int]] = {}  # matched cell -> its projection
     opened = set()
@@ -511,7 +535,11 @@ def _differential_columns(cells, critical, up):
                 stack.extend(waiting)
                 continue
             stack.pop()
-            e = next(sign for sign, G in terms if G == F)
+            e = next((sign for sign, G in terms if G == F), None)
+            if e is None:
+                raise ConsistencyError(
+                    f"the boundary of cell {up[F]} lacks its matched face {F}"
+                )
             memo[F] = {row: -e * x for row, x in combine(terms).items() if x}
 
     cols = []
@@ -584,12 +612,6 @@ def _certify_fits(blocks: Dict[int, List[int]], i: int, j: int) -> None:
         )
 
 
-def _matching_order(count: List[int]) -> List[int]:
-    """The generators some middle or source face holds, by decreasing count,
-    ties by index."""
-    return sorted((v for v, x in enumerate(count) if x), key=count.__getitem__, reverse=True)
-
-
 class _Morse(NamedTuple):
     """What the matching of one block leaves: its critical cells by level,
     and up, which maps each cell matched up, target or middle, to its
@@ -610,25 +632,24 @@ def _morse_count(
 
     `elements` is the block in wedge^i V (x) R_d, `size` = |R_d|, `masks` the
     wedge table's masks of wedge^i V, `down` the down-shift table of degree d
-    and n = dim V.  The source and target cells are read off the spans, and
-    the cells are matched one generator at a time (module docstring).  Under
-    `certify` there is no cone exit and no matching: the record holds every
-    cell, with no partners.
+    and n = dim V.  A cone is decided before any matching, by the AND of the
+    spans.  Otherwise the source and target cells are read off the spans,
+    and the cells are matched one generator at a time, in index order
+    v = 0, 1, ..., n - 1 (module docstring).  Under `certify` there is no
+    cone exit and no matching: the record holds every cell, with no
+    partners.
     """
     faces = [masks[e // size] for e in elements]
     # the span of e = e_S (x) r: the v with v in S or S + {v} a source face
     spans = [S | down[e % size] for S, e in zip(faces, elements)]
     if not certify and reduce(and_, spans):
         return None  # Delta_u is a cone at level i
-    # count[v] = #{middle faces with v} + #{source faces with v}, the number
-    # of spans that hold v; a bit of S gives the target face S - {v}, any
-    # other bit the source face S + {v}
-    count = [0] * n
+    # a bit of S gives the target face S - {v}, any other bit the source face
+    # S + {v}
     low, high = set(), set()
     for S, span in zip(faces, spans):
         while span:
             bit = span & -span
-            count[bit.bit_length() - 1] += 1
             if S & bit:
                 low.add(S ^ bit)
             elif bit > S:
@@ -640,7 +661,7 @@ def _morse_count(
     up: Dict[int, int] = {}
     if certify:
         return _Morse(low, middle, high, up)
-    for v in _matching_order(count):
+    for v in range(n):
         if not middle or not (low or high):
             break
         bit = 1 << v
@@ -765,8 +786,9 @@ def compose_is_zero(ring: GradedSectionRing, i: int, j: int) -> bool:
     x_t x_s r = x_s x_t r for every pair s < t, read in two steps from the
     ring's shift tables, `shift_{d+1}[t][shift_d[s][r]]`; and the signs
     cancel, every face S - {s, t} of a face of S getting sign sum 0 from the
-    boundary rule `_boundary`.  These are the tables and the rule the
-    matching and the Morse columns read.
+    boundary rule `_boundary`, which must give each S exactly its faces
+    S - {s}, with sign +-1 (`_is_boundary`).  These are the tables and the
+    rule the matching and the Morse columns read.
 
     Each fact is checked once per pair of shift tables and once per i: when
     it passes, the ring records what it passed on, the shift pair or the
@@ -793,9 +815,14 @@ def compose_is_zero(ring: GradedSectionRing, i: int, j: int) -> bool:
     if ring.passed.get(("signs", i)) is not _boundary:
         # the boundaries of wedge^i V, built once per check and not kept
         faces = {F: _boundary(F) for F in _wedge(ring, i).masks}
+        if not all(itertools.starmap(_is_boundary, faces.items())):
+            return False
         for S in _wedge(ring, i + 1).masks:
+            terms = _boundary(S)
+            if not _is_boundary(S, terms):
+                return False
             sums: Dict[int, int] = {}
-            for sign, F in _boundary(S):
+            for sign, F in terms:
                 for sign2, G in faces[F]:
                     sums[G] = sums.get(G, 0) + sign * sign2
             if any(sums.values()):

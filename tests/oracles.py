@@ -5,7 +5,8 @@ nothing from the package: hull membership goes through exact barycentric
 coordinates (no facet inequalities), areas come from a monotone-chain hull
 plus shoelace, and Betti numbers and d∘d = 0 from dense un-blocked strand
 matrices; `block_matrix` gives one block's full Koszul map, for checking the
-engine's Morse complex block by block; `brute_automorphisms` finds the
+engine's Morse complex block by block; `element_matching` matches explicit
+face sets one generator at a time; `brute_automorphisms` finds the
 lattice automorphisms of a polytope from every map of vertex tuples.  One Gauss-Jordan elimination over
 Fraction, here, serves both the barycentric solve and every rank.  `box_points` is the one oracle that
 reads the facets: it is the bounding-box filter that defines the output of
@@ -203,6 +204,25 @@ def dense_compose_is_zero(ring, i, j):
         for row in outgoing
         for col in zip(*incoming)
     )
+
+
+def element_matching(levels, order):
+    """The sequential element matching of a family of faces, each face a
+    frozenset of generator indices.  `levels` are sets of faces of
+    consecutive sizes, smallest first.  For each generator v in `order`,
+    every face F without v that is still unmatched is paired with F | {v}
+    when that is a still unmatched face of the next level.  Returns the
+    unmatched faces of each level, as a list of sets, and the pairs as a
+    dict F -> F | {v}."""
+    critical = [set(level) for level in levels]
+    partner = {}
+    for v in order:
+        for lower, upper in zip(critical, critical[1:]):
+            for F in [F for F in lower if v not in F and F | {v} in upper]:
+                lower.remove(F)
+                upper.remove(F | {v})
+                partner[F] = F | {v}
+    return critical, partner
 
 
 def brute_det(m):

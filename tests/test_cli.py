@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from polysyz import NormalityReport, betti_table, build_ring
+from polysyz import NormalityReport, betti_table, build_ring, koszul
 from polysyz import cli as cli_module
 from polysyz.cli import cli
 from polysyz.errors import ConsistencyError, DegenerateInput, WindowExceeded
@@ -171,6 +171,16 @@ class TestExitCodes:
         assert result.exit_code == 3
         assert "a block of 753 middle cells, over the limit of 512" in result.output
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["betti", "np", "report"])
+    def test_certify_help_names_the_engine_limit(self, runner, command):
+        # the help text states certify's limit as a number, which must be
+        # the limit the engine enforces
+        limit = f"a block of more than {koszul._CERTIFY_CELLS} middle cells"
+        assert limit in cli_module.CERTIFY_HELP
+        result = runner.invoke(cli, [command, "--help"])
+        assert result.exit_code == 0
+        assert limit in " ".join(result.output.split())
 
     @pytest.mark.parametrize("args", [
         ["betti", CUBIC, "--c", "0"],

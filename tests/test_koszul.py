@@ -36,6 +36,7 @@ from .oracles import (
     brute_automorphisms,
     dense_betti,
     dense_compose_is_zero,
+    element_matching,
     fraction_rank,
 )
 
@@ -279,6 +280,16 @@ class TestProjectiveDimension:
         assert koszul_betti(ring, 4, 9) == 0
 
 
+def _multidegree(ring, e, q, d):
+    """The multidegree of the element e = k * |R_d| + r of wedge^q V (x) R_d,
+    as a lattice point: the sum of the generators of its k-th q-subset and
+    of its ring point."""
+    k, r = divmod(e, ring.dim(d))
+    S = next(itertools.islice(itertools.combinations(range(ring.dim_V), q), k, None))
+    gens = ring.degree(1).basis
+    return tuple(x + sum(gens[s][a] for s in S) for a, x in enumerate(ring.degree(d).basis[r]))
+
+
 def _delta_faces(ring, u, q, j):
     """The q-faces F of Delta_u = {F : u - sum F in the semigroup} in degree
     j, found from the lattice points, not from the codes."""
@@ -440,16 +451,10 @@ class TestMorseMatching:
             ring = build_ring(P, c, max_slope + 2)
             n = ring.dim_V
             for i in range(max_i + 1):
-                subsets = list(itertools.combinations(range(n), i))
                 for j in range(i, i + max_slope + 1):
                     for block in _matched_blocks(ring, i, j):
                         mid, src = block.mid, block.src
-                        k, r = divmod(mid[0], ring.dim(j - i))
-                        point = ring.degree(j - i).basis[r]
-                        u = tuple(
-                            x + sum(ring.degree(1).basis[s][a] for s in subsets[k])
-                            for a, x in enumerate(point)
-                        )
+                        u = _multidegree(ring, mid[0], i, j - i)
                         mid_faces = _delta_faces(ring, u, i, j)
                         src_faces = _delta_faces(ring, u, i + 1, j)
                         assert len(mid_faces) == len(mid)
@@ -466,6 +471,45 @@ class TestMorseMatching:
                         seen.add((block.at_count,
                                   any(v not in F for v in apexes for F in mid_faces)))
         assert seen >= {(True, True), (False, False)}
+
+    def test_matching_is_the_element_matching_in_index_order(self):
+        # every block that is not a cone, in every window the CLI allows
+        # (max_i, max_slope <= 8) on the data files at c <= 2: the critical
+        # cells of all three levels and the partner map are the oracle's
+        # element matching, generators in index order, of the faces of
+        # Delta_u found from the lattice points; its target level is the
+        # faces of the middle faces, the level the engine reads off the spans
+        blocks = 0
+        for path in sorted(DATA.glob("*.json")):
+            for c in (1, 2):
+                ring = build_ring(load_polytope(path), c, 9)
+                n = ring.dim_V
+
+                def faces(S):
+                    return frozenset(s for s in range(n) if S >> s & 1)
+
+                for i in range(9):
+                    for j in range(i, i + 9):
+                        if not koszul._is_open(ring, i, j):
+                            continue
+                        for u, mid, morse in _morse_blocks(ring, i, j):
+                            if morse is None:
+                                continue
+                            where = (path.name, c, i, j, u)
+                            x = _multidegree(ring, mid[0], i, j - i)
+                            middle = _delta_faces(ring, x, i, j)
+                            assert len(middle) == len(mid), where
+                            low = {F - {s} for F in middle for s in F}
+                            critical, partner = element_matching(
+                                [low, middle, _delta_faces(ring, x, i + 1, j)], range(n)
+                            )
+                            cells = [set(map(faces, level))
+                                     for level in (morse.low, morse.middle, morse.high)]
+                            assert cells == critical, where
+                            pairs = {faces(F): faces(T) for F, T in morse.up.items()}
+                            assert pairs == partner, where
+                            blocks += 1
+        assert blocks > 1000
 
     def test_cells_are_read_off_the_spans(self, corpus50):
         # the cells a block's matching starts from, critical or matched: its
@@ -1059,6 +1103,38 @@ class TestComplexIntegrity:
         assert not k_polynomial_checksum(
             BettiTable(entries, table.max_i, table.max_slope, table.ring)
         )
+
+    # rules whose sign sums still cancel: the face of the highest bit of
+    # every S left out, every sign 0, every sign 0 on the faces (wedge^i V,
+    # i = 2) alone, and a pair of terms of opposite signs on one face added;
+    # the check refuses each by its shape
+    @pytest.mark.parametrize("fault", [
+        "top face dropped", "zero signs", "zero signs on the faces", "cancelling pair",
+    ])
+    def test_a_rule_that_is_no_boundary_is_caught(self, cubic_triangle, fault, monkeypatch):
+        rule = koszul._boundary
+        faulty = {
+            "top face dropped": lambda S: rule(S)[:-1],
+            "zero signs": lambda S: [(0, F) for _, F in rule(S)],
+            "zero signs on the faces": lambda S: [
+                (0 if S.bit_count() == 2 else sign, F) for sign, F in rule(S)
+            ],
+            "cancelling pair": lambda S: rule(S) + [(1, S ^ (S & -S)), (-1, S ^ (S & -S))],
+        }[fault]
+        ring = build_ring(cubic_triangle, 2, 5)
+        monkeypatch.setattr(koszul, "_boundary", faulty)
+        assert compose_is_zero(ring, 2, 4) is False
+        assert ("signs", 2) not in ring.passed
+
+    def test_a_partner_whose_boundary_lacks_its_face_is_refused(self, cubic_triangle,
+                                                                monkeypatch):
+        # the Morse columns eliminate a matched face along its partner's
+        # boundary; with the highest-bit face left out, some partner's
+        # boundary lacks its face, and the engine says so
+        rule = koszul._boundary
+        monkeypatch.setattr(koszul, "_boundary", lambda S: rule(S)[:-1])
+        with pytest.raises(ConsistencyError, match="lacks its matched face"):
+            betti_table(build_ring(cubic_triangle, 2, 5), 4, 4)
 
     def test_rank_above_the_critical_cells_is_refused(self, cubic_triangle, monkeypatch):
         # a block whose Morse maps outrank its critical middle cells would
