@@ -38,6 +38,7 @@ from .koszul import (
     BettiTable,
     GradedSectionRing,
     NpVerdict,
+    RankPolicy,
     betti_table,
     build_ring,
     compose_is_zero,
@@ -56,7 +57,6 @@ from .lattice import (
     normalize_full_dim,
 )
 from .normality import NormalityReport, decompose, is_normal
-from .ranks import RankPolicy
 
 __version__ = "0.1.0"
 

@@ -33,10 +33,9 @@ from .corpus import generate_corpus
 from .criteria import cor1, cor_canonical_product, cor_hilbert, cor_polytope, cor_prodproj
 from .ehrhart import ehrhart_polynomial, integer_root_count
 from .errors import ConsistencyError, DegenerateInput, DimensionMismatch, WindowExceeded
-from .koszul import betti_table, build_ring, k_polynomial_checksum, np_level
+from .koszul import RankPolicy, betti_table, build_ring, k_polynomial_checksum, np_level
 from .lattice import LatticePolytope, lattice_points
 from .normality import is_normal
-from .ranks import RankPolicy
 from .serialize import (
     betti_text_table,
     betti_to_json,

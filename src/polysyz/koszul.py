@@ -55,7 +55,10 @@ when v is in the down-shift mask down_d[r], the inverse of the shift table
 of degree d - 1 (`_down`).  So the span S | down_d[r] of a middle cell
 holds the v that are in S or make S + {v} a face.  Delta_u is closed under
 subsets, so T -> T - {v} sends the source faces with v one to one onto the
-middle faces without v whose S + {v} is a face.
+middle faces without v whose S + {v} is a face.  A generator in no span
+pairs nothing, since a pair up needs v in a span and a pair down needs v in
+S, inside its span; so the matching takes only the generators some span
+holds, still in index order.
 
 The cone exit.  If v is in every span, Delta_u is a cone over v at level i,
 and matching v first pairs every middle cell: a middle face S with v goes
@@ -152,13 +155,14 @@ value, so two such multidegrees differ by less than M in every coordinate,
 and a base-M expansion whose digits lie strictly between -M and M is zero
 only if every digit is: the code is injective on every multidegree the
 engine meets, and code(a + b) = code(a) + code(b).  Blocks are keyed by the
-code of u, and a basis element is the int k * |R_d| + r (k the position of
-S in combinations(range(dim V), q), r the index of the ring element).  A
-strand splits only its middle level into blocks (`_level_blocks`); level
-(q, d) is the middle of the one strand (q, q + d), so nothing is kept.
-Within one block the multidegree fixes the ring element of each face, so a
-block's cells are the bitmasks of their faces, and a Morse column reads its
-faces, bitmasks too, with their signs off the bitmask by one rule
+code of u.  A strand splits only its middle level into blocks
+(`_level_blocks`); level (q, d) is the middle of the one strand (q, q + d),
+so nothing is kept.  A block holds each cell e_S (x) r as two objects the
+ring already has: the bitmask of S from the wedge table, and the down-shift
+mask of r from `_down`, all the matching reads of r.  Within one block the
+multidegree fixes the ring element of each face, so a block's cells are the
+bitmasks of their faces, and a Morse column reads its faces, bitmasks too,
+with their signs off the bitmask by one rule
 (`_boundary`): the t-th bit s_t of S, counted from 0 in increasing order,
 gives the face S - {s_t} with sign (-1)^t.  No face or sign is stored.  A
 degree keeps only its basis and codes; the one map from a code back to its
@@ -221,17 +225,22 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from math import comb
-from operator import and_, mul
+from operator import and_, mul, or_
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .ehrhart import ehrhart_polynomial, integer_root_count
 from .errors import ConsistencyError, DegenerateInput, WindowExceeded
 from .lattice import LatticePoint, LatticePolytope, automorphisms, lattice_points
-from .ranks import RankPolicy, rank
+from .ranks import rank
 
 # the most middle cells of a block whose full maps certify ranks (module
 # docstring)
 _CERTIFY_CELLS = 512
+
+
+@dataclass(frozen=True)
+class RankPolicy:
+    certify: bool = False  # rank each block's full maps, with no Morse matching
 
 
 class RingDegree(NamedTuple):
@@ -378,10 +387,11 @@ class NpVerdict:
     PROVEN = "PROVEN"
 
 
-# element of wedge^q V (x) R_d: the int k * |R_d| + r, with k the position of
-# the sorted index tuple S in combinations(range(dim V), q) and r an index into
-# bases[d]; its multidegree is sum_{s in S} bases[1][s] + bases[d][r], keyed by
-# its code sum_{s in S} codes[1][s] + codes[d][r], injective by the radix bound
+# a cell e_S (x) r of wedge^q V (x) R_d, S a q-subset of generators and r an
+# index into bases[d], has the multidegree sum_{s in S} bases[1][s] +
+# bases[d][r], keyed by its code sum_{s in S} codes[1][s] + codes[d][r],
+# injective by the radix bound; a block keeps of it only the bitmask of S and
+# the down-shift mask of r (`_level_blocks`)
 
 class _Wedge(NamedTuple):
     """The table of wedge^q V.
@@ -467,21 +477,25 @@ def _down(ring: GradedSectionRing, d: int):
 
 
 def _level_blocks(ring: GradedSectionRing, q: int, d: int):
-    """Group the basis of wedge^q V (x) R_d by the code of its multidegree."""
-    blocks: Dict[int, List[int]] = {}
+    """The blocks of wedge^q V (x) R_d, keyed by the code of their
+    multidegree: u -> (faces, downs), two lists with one entry per cell
+    e_S (x) r of the block, the bitmask of S as the very int of
+    `_wedge(ring, q).masks` and the down-shift mask of r as the very int of
+    `_down(ring, d)`.  No object is made per cell."""
+    blocks: Dict[int, Tuple[list, list]] = {}
     if q < 0 or d < 0 or q > ring.dim_V or d > ring.dmax:
         return blocks
-    level = ring.degree(d).codes
-    e = 0  # = k * len(level) + r
-    for s_code in _wedge(ring, q).codes:
-        for p_code in level:
+    level = list(zip(ring.degree(d).codes, _down(ring, d)))
+    wedge = _wedge(ring, q)
+    for s_code, S in zip(wedge.codes, wedge.masks):
+        for p_code, D in level:
             u = s_code + p_code
             block = blocks.get(u)
             if block is None:
-                blocks[u] = [e]
+                blocks[u] = ([S], [D])
             else:
-                block.append(e)
-            e += 1
+                block[0].append(S)
+                block[1].append(D)
     return blocks
 
 
@@ -602,9 +616,10 @@ def _is_open(ring: GradedSectionRing, i: int, j: int) -> bool:
     return not (j - i > ring.reg or i > ring.pd or (i >= 1 and j == i) or (i, j) == (0, 1))
 
 
-def _certify_fits(blocks: Dict[int, List[int]], i: int, j: int) -> None:
-    """Refuse a strand with a block too large for certify's full maps."""
-    largest = max(map(len, blocks.values()), default=0)
+def _certify_fits(blocks: Dict[int, Tuple[list, list]], i: int, j: int) -> None:
+    """Refuse a strand with a block too large for certify's full maps;
+    `blocks` as `_level_blocks` gives them."""
+    largest = max((len(faces) for faces, _ in blocks.values()), default=0)
     if largest > _CERTIFY_CELLS:
         raise WindowExceeded(
             f"certify ranks full block maps, and strand (i={i}, j={j}) has a block "
@@ -624,24 +639,21 @@ class _Morse(NamedTuple):
     up: Dict[int, int]
 
 
-def _morse_count(
-    elements: List[int], size: int, masks: list, down, n: int, certify: bool
-) -> Optional[_Morse]:
+def _morse_count(faces: list, downs: list, certify: bool) -> Optional[_Morse]:
     """The matching of one block of a strand's middle level: None when
     Delta_u is a cone at level i, else the block's `_Morse` record.
 
-    `elements` is the block in wedge^i V (x) R_d, `size` = |R_d|, `masks` the
-    wedge table's masks of wedge^i V, `down` the down-shift table of degree d
-    and n = dim V.  A cone is decided before any matching, by the AND of the
-    spans.  Otherwise the source and target cells are read off the spans,
-    and the cells are matched one generator at a time, in index order
-    v = 0, 1, ..., n - 1 (module docstring).  Under `certify` there is no
-    cone exit and no matching: the record holds every cell, with no
+    `faces` and `downs` are the block as `_level_blocks` gives it: the
+    bitmask S of each middle cell e_S (x) r and the down-shift mask of r.
+    A cone is decided before any matching, by the AND of the spans.
+    Otherwise the source and target cells are read off the spans, and the
+    cells are matched one generator at a time, in index order, over the
+    generators some span holds (module docstring).  Under `certify` there
+    is no cone exit and no matching: the record holds every cell, with no
     partners.
     """
-    faces = [masks[e // size] for e in elements]
-    # the span of e = e_S (x) r: the v with v in S or S + {v} a source face
-    spans = [S | down[e % size] for S, e in zip(faces, elements)]
+    # the span of e_S (x) r: the v with v in S or S + {v} a source face
+    spans = list(map(or_, faces, downs))
     if not certify and reduce(and_, spans):
         return None  # Delta_u is a cone at level i
     # a bit of S gives the target face S - {v}, any other bit the source face
@@ -661,10 +673,10 @@ def _morse_count(
     up: Dict[int, int] = {}
     if certify:
         return _Morse(low, middle, high, up)
-    for v in range(n):
-        if not middle or not (low or high):
-            break
-        bit = 1 << v
+    rest = reduce(or_, spans)  # the generators some span holds
+    while rest and middle and (low or high):
+        bit = rest & -rest
+        rest ^= bit
         # pair each unmatched S without v with an unmatched S + {v}; the middle
         # cells paired down hold v and those paired up lack it, so no cell is
         # paired twice
@@ -708,8 +720,8 @@ def _orbit(ring: GradedSectionRing, u: int, moves: List[tuple], blocks, seen: se
         coords.append(digit)
         x = (x - digit) // M
     orbit = {sum(map(mul, coords, cols)) + shift for cols, shift in moves}
-    cells = len(blocks[u])
-    if any(len(blocks.get(v, ())) != cells for v in orbit):
+    cells = len(blocks[u][0])
+    if any(v not in blocks or len(blocks[v][0]) != cells for v in orbit):
         raise ConsistencyError(
             f"the Aut(P)-orbit of block {u} leaves the strand's blocks of its size"
         )
@@ -731,24 +743,22 @@ def _strand_betti(ring: GradedSectionRing, i: int, j: int, policy: RankPolicy) -
     strand with a block of more than `_CERTIFY_CELLS` middle cells is
     refused.
     """
-    d = j - i
-    size, masks, down, n = ring.dim(d), _wedge(ring, i).masks, _down(ring, d), ring.dim_V
-    blocks = _level_blocks(ring, i, d)
+    blocks = _level_blocks(ring, i, j - i)
     if policy.certify:
         _certify_fits(blocks, i, j)
     seen = set()  # the blocks of the orbits taken
     sizes = moves = None
     total = 0
-    for u, elements in blocks.items():
+    for u, (faces, downs) in blocks.items():
         if u in seen:
             continue
-        morse = _morse_count(elements, size, masks, down, n, policy.certify)
+        morse = _morse_count(faces, downs, policy.certify)
         if morse is None:
             continue
         b = _block_betti(i, j, u, morse)
         if sizes is None:  # a strand of cones needs no sizes
-            sizes = Counter(map(len, blocks.values()))
-        if policy.certify or sizes[len(elements)] == 1:
+            sizes = Counter(len(faces) for faces, _ in blocks.values())
+        if policy.certify or sizes[len(faces)] == 1:
             total += b
             continue
         if moves is None:

@@ -10,27 +10,17 @@ matrices are small (on the paper windows, measured in 21 lattice
 orientations, none has more than 12 rows or 20 columns; the largest are
 2 x 20 and 12 x 8), so a dense kernel is all they need.
 
-`RankPolicy(certify=True)` does not change the kernel: it tells the engine
-to skip the Morse matching and rank each block's full maps, refusing a block
-too large for them (`koszul`).
-
 `rank_mod_p` and `BACKEND` have no engine caller: the benchmark's tracer
 (perfbench/tracing.py) pins both names, and they go when it stops doing so.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 from .intlinalg import exact_rank
 
 BACKEND = "python"
-
-
-@dataclass(frozen=True)
-class RankPolicy:
-    certify: bool = False  # rank each block's full maps, with no Morse matching
 
 
 def rank_mod_p(rows, p: int) -> int:

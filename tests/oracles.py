@@ -4,9 +4,10 @@ These deliberately avoid the library's computation paths and import
 nothing from the package: hull membership goes through exact barycentric
 coordinates (no facet inequalities), areas come from a monotone-chain hull
 plus shoelace, and Betti numbers and d∘d = 0 from dense un-blocked strand
-matrices; `block_matrix` gives one block's full Koszul map, for checking the
-engine's Morse complex block by block; `element_matching` matches explicit
-face sets one generator at a time; `brute_automorphisms` finds the
+matrices; `level_blocks` splits a level by the multidegrees of its lattice
+points and `block_matrix` gives one block's full Koszul map, for checking
+the engine's split and its Morse complex block by block; `element_matching`
+matches explicit face sets one generator at a time; `brute_automorphisms` finds the
 lattice automorphisms of a polytope from every map of vertex tuples.  One Gauss-Jordan elimination over
 Fraction, here, serves both the barycentric solve and every rank.  `box_points` is the one oracle that
 reads the facets: it is the bounding-box filter that defines the output of
@@ -139,43 +140,40 @@ def _level(ring, q, d):
 def _matrix(ring, src_elts, q, d):
     """Dense differential wedge^q V (x) R_d -> wedge^{q-1} V (x) R_{d+1},
     rows in the order of `_level(ring, q - 1, d + 1)`."""
-    gens = ring.degree(1).basis
-    tgt = _level(ring, q - 1, d + 1)
-    pos = {e: k for k, e in enumerate(tgt)}
-    idx = {p: k for k, p in enumerate(ring.degree(d + 1).basis)}
-    rows = [[0] * len(src_elts) for _ in range(len(tgt))]
-    for col, (S, r) in enumerate(src_elts):
-        pt = ring.degree(d).basis[r]
-        for k, s in enumerate(S):
-            sign = 1 if k % 2 == 0 else -1
-            prod = tuple(a + b for a, b in zip(pt, gens[s]))
-            row = pos[(S[:k] + S[k + 1 :], idx[prod])]
-            rows[row][col] += sign
-    return rows
+    return block_matrix(ring, src_elts, d, _level(ring, q - 1, d + 1))
 
 
-def block_matrix(ring, elements, q, d, targets):
-    """Dense Koszul differential of one block: a column for each of
-    `elements` in wedge^q V (x) R_d and a row for each of `targets` in
-    wedge^{q-1} V (x) R_{d+1}, every element the int k * |R_d| + r (k the
-    position of its q-subset in combinations order, r the index of its
-    point), with each product of points summed and looked up afresh."""
+def level_blocks(ring, q, d):
+    """The basis (S, r) of wedge^q V (x) R_d grouped by multidegree, the
+    lattice point sum_{s in S} bases[1][s] + bases[d][r]: a dict from that
+    point to the pairs (S, r) of its block, in `_level` order."""
+    blocks = {}
     nv = len(ring.degree(1).basis)
+    if q < 0 or d < 0 or q > nv or d > ring.dmax:
+        return blocks
+    gens, points = ring.degree(1).basis, ring.degree(d).basis
+    for S in itertools.combinations(range(nv), q):
+        g = [sum(gens[s][a] for s in S) for a in range(len(gens[0]))]
+        for r, x in enumerate(points):
+            blocks.setdefault(tuple(a + b for a, b in zip(x, g)), []).append((S, r))
+    return blocks
+
+
+def block_matrix(ring, cells, d, targets):
+    """Dense Koszul differential of one block: a column for each of `cells`
+    in wedge^q V (x) R_d and a row for each of `targets` in
+    wedge^{q-1} V (x) R_{d+1}, each a pair (S, r) of `level_blocks` (S the
+    sorted tuple of generators, r the index of the point), with each product
+    of points summed and looked up afresh."""
     gens = ring.degree(1).basis
-    subsets = list(itertools.combinations(range(nv), q))
-    smaller = {S: k for k, S in enumerate(itertools.combinations(range(nv), q - 1))}
     points = ring.degree(d).basis
-    above = ring.degree(d + 1).basis
-    idx = {p: k for k, p in enumerate(above)}
+    idx = {p: k for k, p in enumerate(ring.degree(d + 1).basis)}
     pos = {e: k for k, e in enumerate(targets)}
-    rows = [[0] * len(elements) for _ in targets]
-    for col, e in enumerate(elements):
-        k, r = divmod(e, len(points))
-        S = subsets[k]
+    rows = [[0] * len(cells) for _ in targets]
+    for col, (S, r) in enumerate(cells):
         for t, s in enumerate(S):
             prod = tuple(a + b for a, b in zip(points[r], gens[s]))
-            row = pos[smaller[S[:t] + S[t + 1 :]] * len(above) + idx[prod]]
-            rows[row][col] += -1 if t % 2 else 1
+            rows[pos[S[:t] + S[t + 1 :], idx[prod]]][col] += -1 if t % 2 else 1
     return rows
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from math import ceil
 from operator import mul
@@ -33,11 +34,13 @@ from polysyz.serialize import load_polytope
 
 from .oracles import (
     block_matrix,
+    box_points,
     brute_automorphisms,
     dense_betti,
     dense_compose_is_zero,
     element_matching,
     fraction_rank,
+    level_blocks,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -280,14 +283,30 @@ class TestProjectiveDimension:
         assert koszul_betti(ring, 4, 9) == 0
 
 
-def _multidegree(ring, e, q, d):
-    """The multidegree of the element e = k * |R_d| + r of wedge^q V (x) R_d,
-    as a lattice point: the sum of the generators of its k-th q-subset and
-    of its ring point."""
-    k, r = divmod(e, ring.dim(d))
-    S = next(itertools.islice(itertools.combinations(range(ring.dim_V), q), k, None))
-    gens = ring.degree(1).basis
-    return tuple(x + sum(gens[s][a] for s in S) for a, x in enumerate(ring.degree(d).basis[r]))
+def _bits(S):
+    """The generators of the face S, a bitmask, in increasing order."""
+    return tuple(s for s in range(S.bit_length()) if S >> s & 1)
+
+
+def _multidegree(ring, u, S, d):
+    """The multidegree of block u of wedge^q V (x) R_d, as a lattice point,
+    read off one of its faces S: the sum of the generators of S and of the
+    point of R_d whose code is u minus theirs."""
+    gens = ring.degree(1)
+    level = ring.degree(d)
+    point = level.basis[level.codes.index(u - sum(gens.codes[s] for s in _bits(S)))]
+    return tuple(x + sum(gens.basis[s][a] for s in _bits(S)) for a, x in enumerate(point))
+
+
+def _code(ring, x):
+    """The code of the lattice point x, from the ring's radix."""
+    return sum(ring.radix**k * a for k, a in enumerate(x))
+
+
+def _oracle_blocks(ring, q, d):
+    """The oracle's split of wedge^q V (x) R_d (`level_blocks`), keyed by
+    the code of each block's multidegree."""
+    return {_code(ring, x): cells for x, cells in level_blocks(ring, q, d).items()}
 
 
 def _delta_faces(ring, u, q, j):
@@ -319,24 +338,25 @@ class _Block(NamedTuple):
 
 
 def _morse_blocks(ring, i, j):
-    """(u, middle elements, `_morse_count` of the block) for each block of
-    strand (i, j)."""
-    d = j - i
-    masks, down = koszul._wedge(ring, i).masks, koszul._down(ring, d)
-    for u, mid in koszul._level_blocks(ring, i, d).items():
-        yield u, mid, koszul._morse_count(mid, ring.dim(d), masks, down, ring.dim_V, False)
+    """(u, faces, `_morse_count` of the block) for each block of strand
+    (i, j)."""
+    for u, (faces, downs) in koszul._level_blocks(ring, i, j - i).items():
+        yield u, faces, koszul._morse_count(faces, downs, False)
 
 
 def _matched_blocks(ring, i, j):
-    """A `_Block` for each block of strand (i, j), every full map ranked
-    whether or not the matching decides the block."""
-    src = koszul._level_blocks(ring, i + 1, j - i - 1)
-    tgt = koszul._level_blocks(ring, i - 1, j - i + 1)
+    """A `_Block` for each block of strand (i, j), every full map of the
+    oracle's block of the same multidegree ranked whether or not the
+    matching decides the block."""
+    d = j - i
+    src, tgt = ({u: faces for u, (faces, _) in koszul._level_blocks(ring, i + k, d - k).items()}
+                for k in (1, -1))
+    high, middle, low = (_oracle_blocks(ring, i + k, d - k) for k in (1, 0, -1))
     for u, mid, morse in _morse_blocks(ring, i, j):
-        b = len(mid)
-        for elts, q, targets in ((mid, i, tgt.get(u)), (src.get(u), i + 1, mid)):
-            if elts and targets:
-                b -= exact_rank(block_matrix(ring, elts, q, j - q, targets))
+        b = len(middle[u])
+        for cells, e, targets in ((middle[u], d, low.get(u)), (high.get(u), d - 1, middle[u])):
+            if cells and targets:
+                b -= exact_rank(block_matrix(ring, cells, e, targets))
         critical, decided, morse_b, ranked = 0, True, None, 0
         if morse is not None:
             critical = len(morse.middle)
@@ -352,27 +372,21 @@ def _matched_blocks(ring, i, j):
                      mid, src.get(u), tgt.get(u))
 
 
-def _cells(ring, elements, q, d):
-    """The faces of the elements of one block of wedge^q V (x) R_d, as bitmasks."""
-    if not elements:
-        return set()
-    masks, size = koszul._wedge(ring, q).masks, ring.dim(d)
-    return {masks[e // size] for e in elements}
+def _cells(block):
+    """The faces of one block of `_level_blocks`, or of none, as bitmasks."""
+    return set(block[0]) if block else set()
 
 
 def _oracle_orbits(ring, i, j):
     """The Aut(P)-orbit of each block of strand (i, j), as a set of block
     codes: the oracle's group acts on the block's multidegree, read off its
-    first element's face and ring point, by u -> A u + c * j * b."""
+    first face, by u -> A u + c * j * b."""
     d = j - i
     M = ring.radix
     group = brute_automorphisms(ring.polytope.vertices)
-    gens, points = ring.degree(1).basis, ring.degree(d).basis
-    subsets = list(itertools.combinations(range(ring.dim_V), i))
     orbits = {}
-    for u, mid in koszul._level_blocks(ring, i, d).items():
-        k, r = divmod(mid[0], len(points))
-        x = [p + sum(gens[s][a] for s in subsets[k]) for a, p in enumerate(points[r])]
+    for u, (faces, _) in koszul._level_blocks(ring, i, d).items():
+        x = _multidegree(ring, u, faces[0], d)
         orbits[u] = {
             sum(M**e * (sum(map(mul, row, x)) + ring.c * j * y)
                 for e, (row, y) in enumerate(zip(A, b)))
@@ -454,7 +468,7 @@ class TestMorseMatching:
                 for j in range(i, i + max_slope + 1):
                     for block in _matched_blocks(ring, i, j):
                         mid, src = block.mid, block.src
-                        u = _multidegree(ring, mid[0], i, j - i)
+                        u = _multidegree(ring, block.u, mid[0], j - i)
                         mid_faces = _delta_faces(ring, u, i, j)
                         src_faces = _delta_faces(ring, u, i + 1, j)
                         assert len(mid_faces) == len(mid)
@@ -496,7 +510,7 @@ class TestMorseMatching:
                             if morse is None:
                                 continue
                             where = (path.name, c, i, j, u)
-                            x = _multidegree(ring, mid[0], i, j - i)
+                            x = _multidegree(ring, u, mid[0], j - i)
                             middle = _delta_faces(ring, x, i, j)
                             assert len(middle) == len(mid), where
                             low = {F - {s} for F in middle for s in F}
@@ -510,6 +524,84 @@ class TestMorseMatching:
                             assert pairs == partner, where
                             blocks += 1
         assert blocks > 1000
+
+    def test_split_is_the_oracle_split(self):
+        # every open strand of every window the CLI allows (max_i, max_slope
+        # <= 8) on the data files at c <= 2: the engine's middle level is the
+        # oracle's split of the lattice points into multidegrees, with the
+        # same block codes and the same faces in the same order, and each
+        # cell's down mask is the set of generators v whose removal from its
+        # ring point leaves a lattice point of c(d - 1)P
+        cells = 0
+        for path in sorted(DATA.glob("*.json")):
+            for c in (1, 2):
+                P = load_polytope(path)
+                ring = build_ring(P, c, 9)
+                gens = ring.degree(1).basis
+                for i in range(9):
+                    for j in range(i, i + 9):
+                        if not koszul._is_open(ring, i, j):
+                            continue
+                        where = (path.name, c, i, j)
+                        d = j - i
+                        below = set(box_points(P, c * (d - 1), False)) if d else set()
+                        down = [
+                            sum(1 << v for v, g in enumerate(gens)
+                                if tuple(a - b for a, b in zip(x, g)) in below)
+                            for x in ring.degree(d).basis
+                        ]
+                        blocks = koszul._level_blocks(ring, i, d)
+                        oracle = _oracle_blocks(ring, i, d)
+                        assert blocks.keys() == oracle.keys(), where
+                        for u, pairs in oracle.items():
+                            faces, downs = blocks[u]
+                            assert faces == [sum(1 << s for s in S) for S, _ in pairs], where
+                            assert downs == [down[r] for _, r in pairs], where
+                            cells += len(pairs)
+        assert cells > 10000
+
+    def test_blocks_hold_the_ring_objects(self, cubic_triangle):
+        # a block holds each cell as two objects the ring already has: its
+        # face, the very int of the wedge table, and its ring element's down
+        # mask, the very int of the down table; a packed int or a tuple per
+        # cell is an object of its own.  Ints up to 256 are shared by the
+        # interpreter, so the identities are counted on larger masks.
+        ring = build_ring(cubic_triangle, 2, 5)
+        large = Counter()
+        for i in range(5):
+            for j in range(i, i + 5):
+                if not koszul._is_open(ring, i, j):
+                    continue
+                d = j - i
+                blocks = koszul._level_blocks(ring, i, d)
+                masks = {id(S) for S in ring.wedges[i].masks}
+                downs = {id(D) for D in ring.downs[d]}
+                for block in blocks.values():
+                    assert type(block) is tuple and len(block) == 2, (i, j)
+                    faces, down = block
+                    assert type(faces) is list and type(down) is list, (i, j)
+                    assert len(faces) == len(down), (i, j)
+                    assert all(id(S) in masks for S in faces), (i, j)
+                    assert all(id(D) in downs for D in down), (i, j)
+                    large["faces"] += sum(S > 256 for S in faces)
+                    large["downs"] += sum(D > 256 for D in down)
+        assert large["faces"] > 1000 and large["downs"] > 1000, large
+
+    def test_the_split_adds_two_list_slots_a_cell(self, cubic_triangle):
+        # the split's own allocations, traced, on the middle level of strand
+        # (3, 5) in the cubic c = 3 window: a block's two lists take a slot
+        # of 8 B a cell each, with their growth; an int (28 B and up) or a
+        # tuple (56 B) made per cell, kept or dropped, goes over the bound
+        ring = build_ring(cubic_triangle, 3, 4)
+        koszul._wedge(ring, 3), koszul._down(ring, 2)
+        tracemalloc.start()
+        try:
+            blocks = koszul._level_blocks(ring, 3, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cells = sum(len(faces) for faces, _ in blocks.values())
+        assert cells > 50000 and peak < 28 * cells, peak / cells
 
     def test_cells_are_read_off_the_spans(self, corpus50):
         # the cells a block's matching starts from, critical or matched: its
@@ -526,9 +618,9 @@ class TestMorseMatching:
                         if morse is None:
                             continue
                         where = (name, c, i, j, u)
-                        middle = _cells(ring, mid, i, d)
-                        high = _cells(ring, src.get(u, ()), i + 1, d - 1)
-                        low = _cells(ring, tgt.get(u, ()), i - 1, d + 1)
+                        middle = set(mid)
+                        high = _cells(src.get(u))
+                        low = _cells(tgt.get(u))
                         faces = {S ^ bit for S in middle
                                  for bit in (1 << s for s in range(ring.dim_V)) if S & bit}
                         # each level's cells, critical or matched; a level
@@ -645,9 +737,9 @@ class TestMorseMatching:
     def test_certify_limit_is_on_the_largest_block(self, monkeypatch):
         monkeypatch.setattr(koszul, "_CERTIFY_CELLS", 3)
         koszul._certify_fits({}, 1, 2)
-        koszul._certify_fits({5: [0, 1], 7: [2, 3, 4]}, 1, 2)
+        koszul._certify_fits({5: ([1, 2], [0, 0]), 7: ([3, 5, 6], [0, 0, 0])}, 1, 2)
         with pytest.raises(WindowExceeded, match="a block of 4 middle cells"):
-            koszul._certify_fits({5: [0, 1], 7: [2, 3, 4, 5]}, 1, 2)
+            koszul._certify_fits({5: ([1, 2], [0, 0]), 7: ([3, 5, 6, 9], [0, 0, 0, 0])}, 1, 2)
 
     def test_certify_serves_every_cli_window_up_to_c_2(self):
         # every window the CLI allows (max_i, max_slope <= 8) on the data
@@ -661,7 +753,7 @@ class TestMorseMatching:
                     for j in range(i, i + 9):
                         if koszul._is_open(ring, i, j):
                             blocks = koszul._level_blocks(ring, i, j - i)
-                            largest = max(largest, *map(len, blocks.values()))
+                            largest = max(largest, *(len(faces) for faces, _ in blocks.values()))
         assert largest == 378 <= koszul._CERTIFY_CELLS
 
 
@@ -670,20 +762,28 @@ class TestMorseMatching:
         # block it matches and takes no orbit of is an orbit of its own; and
         # over a strand these orbits are disjoint and cover exactly the
         # blocks that are not cones, so their sizes sum to the non-cone count
-        orbit, morse_count = koszul._orbit, koszul._morse_count
-        taken, matched = {}, []
+        orbit, morse_count, split = koszul._orbit, koszul._morse_count, koszul._level_blocks
+        taken, matched, code = {}, [], {}
 
         def recorded(ring, u, *args):
             found = taken[u] = orbit(ring, u, *args)
             return found
 
-        def noted(elements, *args):
-            morse = morse_count(elements, *args)
+        def split_noted(ring, q, d):
+            # a block is told by its faces list, kept alive here so that no
+            # other list takes its id; a first face is not unique across blocks
+            blocks = split(ring, q, d)
+            code.update((id(faces), (u, faces)) for u, (faces, _) in blocks.items())
+            return blocks
+
+        def noted(faces, *args):
+            morse = morse_count(faces, *args)
             if morse is not None:
-                matched.append(elements[0])
+                matched.append(code[id(faces)][0])
             return morse
 
         monkeypatch.setattr(koszul, "_orbit", recorded)
+        monkeypatch.setattr(koszul, "_level_blocks", split_noted)
         monkeypatch.setattr(koszul, "_morse_count", noted)
         sizes = Counter()
         for name, c, ring, max_i, max_slope in self._rings(corpus50):
@@ -692,32 +792,32 @@ class TestMorseMatching:
                     where = (name, c, i, j)
                     non_cone = {u for u, _, morse in _morse_blocks(ring, i, j) if morse is not None}
                     level = koszul._level_blocks(ring, i, j - i)
-                    code = {mid[0]: u for u, mid in level.items()}
-                    shared = Counter(map(len, level.values()))
+                    shared = Counter(len(faces) for faces, _ in level.values())
                     oracle = _oracle_orbits(ring, i, j)
                     taken.clear()
                     del matched[:]
+                    code.clear()
                     _strand_betti(ring, i, j, RankPolicy())
                     # a block in an orbit already taken is skipped, not
                     # matched again; a matched block whose orbit is not
                     # taken is counted alone
                     covered = set().union(*taken.values())
-                    alone = [code[e] for e in matched if code[e] not in covered]
+                    alone = [u for u in matched if u not in covered]
                     orbits = list(taken.values()) + [{u} for u in alone]
-                    assert set(taken) <= {code[e] for e in matched}, where
+                    assert set(taken) <= set(matched), where
                     assert sum(map(len, orbits)) == len(non_cone), where
                     assert set().union(*orbits) == non_cone, where
                     for u, found in taken.items():
                         assert found == oracle[u], (where, u)
                         # an orbit is taken only of a block whose size
                         # another block of the strand has
-                        assert shared[len(level[u])] > 1, (where, u)
+                        assert shared[len(level[u][0])] > 1, (where, u)
                         sizes[len(found), True] += 1
                     for u in alone:
                         assert oracle[u] == {u}, (where, u)
                         # and every block of a size no other block has is
                         # counted alone
-                        assert shared[len(level[u])] == 1, (where, u)
+                        assert shared[len(level[u][0])] == 1, (where, u)
                         sizes[1, False] += 1
         # orbits of every size the groups allow, and blocks counted alone
         assert sizes[1, True] > 100 and sizes[1, False] > 10

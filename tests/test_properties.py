@@ -212,10 +212,10 @@ def test_betti_table_is_independent_of_the_matching_order(corpus50, data):
     morse_count = koszul._morse_count
     asked = []
 
-    def in_drawn_order(elements, size, masks, down, n, certify):
+    def in_drawn_order(faces, downs, certify):
         asked.append(True)
-        morse = morse_count(elements, size, [relabel(S, forward) for S in masks],
-                            [relabel(x, forward) for x in down], n, certify)
+        morse = morse_count([relabel(S, forward) for S in faces],
+                            [relabel(x, forward) for x in downs], certify)
         if morse is None:
             return None
         return koszul._Morse(*(set(map(back, cells)) for cells in morse[:3]),
