@@ -58,7 +58,13 @@ subsets, so T -> T - {v} sends the source faces with v one to one onto the
 middle faces without v whose S + {v} is a face.  A generator in no span
 pairs nothing, since a pair up needs v in a span and a pair down needs v in
 S, inside its span; so the matching takes only the generators some span
-holds, still in index order.
+holds, still in index order.  Every pair holds a middle cell, as the
+truncated complex has three levels, so the matching walks the middle level
+alone.  In the pass of v a middle cell S pairs down with S - {v} when v is
+in S, and up with S + {v} when v is in its span but not in S, in either
+case when that outer cell is not yet taken.  Within one pass only S can
+claim S - {v} or S + {v}, and the cells paired down hold v while those
+paired up lack it, so this is the element matching of all three levels.
 
 The cone exit.  If v is in every span, Delta_u is a cone over v at level i,
 and matching v first pairs every middle cell: a middle face S with v goes
@@ -68,14 +74,15 @@ a nonzero AND is therefore decided before any matching, whatever the order
 of the generators, with one bitwise AND per middle cell, and a cone adds 0.
 
 No other level is split: the source and target cells are read off the
-spans.  By the bijection above the source faces are exactly the S + {v} for
-v in the span of a middle cell S but not in S.  The target faces taken are
-the S - {s} for s in S, the faces of the middle cells; a target face of no
-middle cell is left out.  That leaves ker d_i, and so beta_u, unchanged: a
-target cell pairs only with a middle cell that holds it, so such a cell is
-never matched, no gradient path from a middle cell reaches it, and in the
-full map it is a zero row.  So the table reads ring degrees only up to the
-strand's middle degree j - i <= reg.
+spans, and only for a block that keeps a critical middle cell, since a
+block with none is zero.  By the bijection above the source faces are
+exactly the S + {v} for v in the span of a middle cell S but not in S.  The
+target faces taken are the S - {s} for s in S, the faces of the middle
+cells; a target face of no middle cell is left out.  That leaves ker d_i,
+and so beta_u, unchanged: a target cell pairs only with a middle cell that
+holds it, so such a cell is never matched, no gradient path from a middle
+cell reaches it, and in the full map it is a zero row.  So the table reads
+ring degrees only up to the strand's middle degree j - i <= reg.
 
 Every other block's Betti number is read from its Morse complex:
 beta_u = #critical middle cells - rank(outgoing) - rank(incoming), with
@@ -631,7 +638,8 @@ class _Morse(NamedTuple):
     """What the matching of one block leaves: its critical cells by level,
     and up, which maps each cell matched up, target or middle, to its
     partner.  A target cell has one bit fewer than a middle cell, so the
-    two levels' keys never collide."""
+    two levels' keys never collide.  low and high are empty when no middle
+    cell is critical, for then no rank needs them."""
 
     low: set
     middle: set
@@ -646,49 +654,43 @@ def _morse_count(faces: list, downs: list, certify: bool) -> Optional[_Morse]:
     `faces` and `downs` are the block as `_level_blocks` gives it: the
     bitmask S of each middle cell e_S (x) r and the down-shift mask of r.
     A cone is decided before any matching, by the AND of the spans.
-    Otherwise the source and target cells are read off the spans, and the
-    cells are matched one generator at a time, in index order, over the
-    generators some span holds (module docstring).  Under `certify` there
-    is no cone exit and no matching: the record holds every cell, with no
-    partners.
+    Otherwise each middle cell is matched, one generator at a time, in
+    index order over the generators some span holds, down to S - {v} or up
+    to S + {v} when that outer cell is not yet taken (module docstring).
+    Under `certify` there is no cone exit and no generator is walked, so
+    nothing is matched.  Only a block that keeps a critical middle cell has
+    its source and target cells read off the spans.
     """
     # the span of e_S (x) r: the v with v in S or S + {v} a source face
     spans = list(map(or_, faces, downs))
     if not certify and reduce(and_, spans):
         return None  # Delta_u is a cone at level i
+    middle = dict(zip(faces, spans))  # the unmatched middle cells
+    taken = set()  # the outer cells matched so far
+    up: Dict[int, int] = {}
+    rest = 0 if certify else reduce(or_, spans)  # the generators some span holds
+    while rest and middle:
+        bit = rest & -rest
+        rest ^= bit
+        # S pairs down with S - {v} if it holds v, else up with S + {v}; in
+        # one pass only S can claim either, so no cell is paired twice
+        paired = [S for S, span in middle.items() if span & bit and S ^ bit not in taken]
+        for S in paired:
+            del middle[S]
+            taken.add(S ^ bit)
+            up[S & ~bit] = S | bit
     # a bit of S gives the target face S - {v}, any other bit the source face
     # S + {v}
     low, high = set(), set()
-    for S, span in zip(faces, spans):
-        while span:
-            bit = span & -span
-            if S & bit:
-                low.add(S ^ bit)
-            elif bit > S:
-                # T = S + {v} is added from S = T - max(T) alone, a middle
-                # cell since Delta_u is closed under subsets
-                high.add(S | bit)
-            span ^= bit
-    middle = set(faces)
-    up: Dict[int, int] = {}
-    if certify:
-        return _Morse(low, middle, high, up)
-    rest = reduce(or_, spans)  # the generators some span holds
-    while rest and middle and (low or high):
-        bit = rest & -rest
-        rest ^= bit
-        # pair each unmatched S without v with an unmatched S + {v}; the middle
-        # cells paired down hold v and those paired up lack it, so no cell is
-        # paired twice
-        for lower, upper in ((low, middle), (middle, high)):
-            if lower and upper:
-                paired = [S for S in lower if not S & bit and S | bit in upper]
-                if paired:
-                    partners = [S | bit for S in paired]
-                    lower.difference_update(paired)
-                    upper.difference_update(partners)
-                    up.update(zip(paired, partners))
-    return _Morse(low, middle, high, up)
+    if middle:
+        for S, span in zip(faces, spans):
+            while span:
+                bit = span & -span
+                (low if S & bit else high).add(S ^ bit)
+                span ^= bit
+        low -= taken
+        high -= taken
+    return _Morse(low, set(middle), high, up)
 
 
 def _actions(ring: GradedSectionRing) -> List[tuple]:

@@ -489,11 +489,13 @@ class TestMorseMatching:
     def test_matching_is_the_element_matching_in_index_order(self):
         # every block that is not a cone, in every window the CLI allows
         # (max_i, max_slope <= 8) on the data files at c <= 2: the critical
-        # cells of all three levels and the partner map are the oracle's
-        # element matching, generators in index order, of the faces of
-        # Delta_u found from the lattice points; its target level is the
-        # faces of the middle faces, the level the engine reads off the spans
-        blocks = 0
+        # middle cells and the partner map are the oracle's element
+        # matching, generators in index order, of the faces of Delta_u found
+        # from the lattice points; its target level is the faces of the
+        # middle faces, the level the engine reads off the spans.  A block
+        # that keeps a critical middle cell has the oracle's critical source
+        # and target cells too; any other block reads no outer level
+        blocks = kept = 0
         for path in sorted(DATA.glob("*.json")):
             for c in (1, 2):
                 ring = build_ring(load_polytope(path), c, 9)
@@ -519,11 +521,16 @@ class TestMorseMatching:
                             )
                             cells = [set(map(faces, level))
                                      for level in (morse.low, morse.middle, morse.high)]
-                            assert cells == critical, where
+                            assert cells[1] == critical[1], where
+                            if morse.middle:
+                                assert cells == critical, where
+                                kept += 1
+                            else:
+                                assert morse.low == morse.high == set(), where
                             pairs = {faces(F): faces(T) for F, T in morse.up.items()}
                             assert pairs == partner, where
                             blocks += 1
-        assert blocks > 1000
+        assert blocks > 1000 and kept > 100 and blocks - kept > 100, (blocks, kept)
 
     def test_split_is_the_oracle_split(self):
         # every open strand of every window the CLI allows (max_i, max_slope
@@ -606,7 +613,10 @@ class TestMorseMatching:
     def test_cells_are_read_off_the_spans(self, corpus50):
         # the cells a block's matching starts from, critical or matched: its
         # middle level, all of its source level, and the cells of its target
-        # level that are a face of some middle cell
+        # level that are a face of some middle cell.  The outer levels are
+        # read only for a block that keeps a critical middle cell; under
+        # certify, which matches nothing, every block, cones included, keeps
+        # each of those levels whole and critical, with no partner
         cut = Counter()
         for name, c, ring, max_i, max_slope in self._rings(corpus50):
             for i in range(max_i + 1):
@@ -614,15 +624,18 @@ class TestMorseMatching:
                     d = j - i
                     src = koszul._level_blocks(ring, i + 1, d - 1)
                     tgt = koszul._level_blocks(ring, i - 1, d + 1)
-                    for u, mid, morse in _morse_blocks(ring, i, j):
-                        if morse is None:
-                            continue
+                    for u, (mid, downs) in koszul._level_blocks(ring, i, d).items():
                         where = (name, c, i, j, u)
                         middle = set(mid)
                         high = _cells(src.get(u))
                         low = _cells(tgt.get(u))
                         faces = {S ^ bit for S in middle
                                  for bit in (1 << s for s in range(ring.dim_V)) if S & bit}
+                        certified = koszul._morse_count(mid, downs, True)
+                        assert certified == koszul._Morse(low & faces, middle, high, {}), where
+                        morse = koszul._morse_count(mid, downs, False)
+                        if morse is None:
+                            continue
                         # each level's cells, critical or matched; a level
                         # is told by its popcount
                         matched = set(morse.up) | set(morse.up.values())
@@ -630,12 +643,18 @@ class TestMorseMatching:
                                                    (morse.middle, middle, i),
                                                    (morse.high, high, i + 1)):
                             at_q = {F for F in matched if F.bit_count() == q}
-                            assert critical | at_q == cells, where
+                            if morse.middle or q == i:
+                                assert critical | at_q == cells, where
+                            else:
+                                assert critical == set(), where
                         cut["source"] += bool(high)
                         cut["target"] += bool(low & faces)
                         cut["left out"] += bool(low - faces)
-        # some blocks have target cells of no middle face, which the cut leaves out
+                        cut["kept" if morse.middle else "matched"] += 1
+        # some blocks have target cells of no middle face, which the cut
+        # leaves out; some blocks keep a critical middle cell, some do not
         assert cut["source"] > 100 and cut["target"] > 100 and cut["left out"] > 0, cut
+        assert cut["kept"] > 100 and cut["matched"] > 100, cut
 
     def test_partner_map_is_a_matching(self, corpus50):
         # one map holds the pairs of both levels: each pair is one bit apart,
